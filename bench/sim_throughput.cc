@@ -162,47 +162,31 @@ int main(int argc, char** argv) {
   double cache_warm_seconds = cache_watch.Seconds();
   sim::SimCacheStats stats = sim::GetSimCacheStats();
 
-  // Structure-sharing + batched replay: the cached programs of the sweep
-  // share interned skeletons (configs differing only numerically walk
-  // identical instruction sequences), and ReplaySimProgramBatch groups
-  // replays by skeleton so the arena's layout tables fill once per group.
-  // Gates: batched results bit-identical to per-program replays, and the
-  // batched pass allocation-free after warm-up.
-  std::vector<std::shared_ptr<const sim::SimProgram>> batch_programs;
+  // Shared-arena replay over the sweep's cached programs: they share
+  // interned skeletons (configs differing only numerically walk identical
+  // instruction sequences), and back-to-back replays of one skeleton at
+  // one wave size reuse the arena's layout tables
+  // (ReplayArena::layout_skeleton). Gates: the warm pass is
+  // allocation-free and the intern pool really shared skeletons.
+  std::vector<std::shared_ptr<const sim::SimProgram>> shared_programs;
   for (const tuner::TuningTask& task : tasks) {
     for (size_t c = 0; c < task.space.size(); c += stride) {
-      batch_programs.push_back(
+      shared_programs.push_back(
           sim::CachedSimProgram(task.op, task.space[c], spec));
     }
   }
-  std::vector<const sim::SimProgram*> batch_ptrs;
-  for (const auto& p : batch_programs) batch_ptrs.push_back(p.get());
-
-  sim::ReplayArena batch_arena;
-  int batch_mismatches = 0;
-  int batch_allocations = 0;
-  std::vector<sim::KernelTiming> singly(batch_ptrs.size());
-  obs::Stopwatch batch_watch;
-  for (size_t i = 0; i < batch_ptrs.size(); ++i) {
-    singly[i] = sim::ReplaySimProgram(*batch_ptrs[i], &batch_arena);
+  sim::ReplayArena shared_arena;
+  for (const auto& program : shared_programs) {
+    sim::ReplaySimProgram(*program, &shared_arena);
   }
-  double replay_single_seconds = batch_watch.Seconds();
-  std::vector<sim::KernelTiming> warm_batch =
-      sim::ReplaySimProgramBatch(batch_ptrs, &batch_arena);
-  size_t batch_capacity = batch_arena.CapacityBytes();
-  batch_watch.Restart();
-  std::vector<sim::KernelTiming> batched =
-      sim::ReplaySimProgramBatch(batch_ptrs, &batch_arena);
-  double replay_batched_seconds = batch_watch.Seconds();
-  if (batch_arena.CapacityBytes() != batch_capacity) ++batch_allocations;
-  for (size_t i = 0; i < batch_ptrs.size(); ++i) {
-    if (!SameTiming(singly[i], batched[i]) ||
-        !SameTiming(warm_batch[i], batched[i])) {
-      if (++batch_mismatches <= 3) {
-        std::fprintf(stderr, "BATCH MISMATCH at program %zu\n", i);
-      }
-    }
+  size_t shared_capacity = shared_arena.CapacityBytes();
+  obs::Stopwatch shared_watch;
+  for (const auto& program : shared_programs) {
+    sim::ReplaySimProgram(*program, &shared_arena);
   }
+  double shared_seconds = shared_watch.Seconds();
+  int shared_allocations =
+      shared_arena.CapacityBytes() != shared_capacity ? 1 : 0;
   sim::SkeletonPoolStats pool = sim::GetSkeletonPoolStats();
   sim::SimCacheStats shared_stats = sim::GetSimCacheStats();
   double bytes_per_config =
@@ -219,13 +203,10 @@ int main(int argc, char** argv) {
   double sharing_gain =
       bytes_per_config > 0.0 ? bytes_per_config_unshared / bytes_per_config
                              : 0.0;
-  double batch_rate = replay_batched_seconds > 0.0
-                          ? static_cast<double>(batch_ptrs.size()) /
-                                replay_batched_seconds
-                          : 0.0;
-  double batch_speedup = replay_batched_seconds > 0.0
-                             ? replay_single_seconds / replay_batched_seconds
-                             : 0.0;
+  double shared_rate = shared_seconds > 0.0
+                           ? static_cast<double>(shared_programs.size()) /
+                                 shared_seconds
+                           : 0.0;
 
   bool deterministic = mismatches == 0 && timeline_mismatches == 0 &&
                        BitEqual(interp_checksum, replay_checksum);
@@ -272,13 +253,10 @@ int main(int argc, char** argv) {
       "    \"bytes_per_config_unshared\": %.1f,\n"
       "    \"skeleton_sharing_gain\": %.2f\n"
       "  },\n"
-      "  \"batched_replay\": {\n"
+      "  \"shared_arena_replay\": {\n"
       "    \"programs\": %zu,\n"
-      "    \"single_seconds\": %.4f,\n"
-      "    \"batched_seconds\": %.4f,\n"
-      "    \"batched_configs_per_sec\": %.1f,\n"
-      "    \"batch_speedup\": %.2f,\n"
-      "    \"mismatches\": %d,\n"
+      "    \"seconds\": %.4f,\n"
+      "    \"configs_per_sec\": %.1f,\n"
       "    \"warm_heap_allocations\": %d,\n"
       "    \"pool_interns\": %llu,\n"
       "    \"pool_shared\": %llu,\n"
@@ -301,19 +279,18 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shared_stats.skeleton_bytes),
       static_cast<unsigned long long>(shared_stats.program_bytes_unshared),
       bytes_per_config, bytes_per_config_unshared, sharing_gain,
-      batch_ptrs.size(), replay_single_seconds, replay_batched_seconds,
-      batch_rate, batch_speedup, batch_mismatches, batch_allocations,
+      shared_programs.size(), shared_seconds, shared_rate, shared_allocations,
       static_cast<unsigned long long>(pool.interns),
       static_cast<unsigned long long>(pool.shared),
       static_cast<unsigned long long>(pool.skeletons));
 
   // Gate only on correctness plus the structural claims downstream code
-  // relies on: bit-identical results (per-program and batched), no
-  // hot-path heap growth, a replay path that actually ran, and real
-  // skeleton sharing across the sweep (>= 4x bytes-per-config). Never on
-  // wall time.
+  // relies on: bit-identical results, no hot-path heap growth (single
+  // and shared-arena passes), a replay path that actually ran, real
+  // skeleton sharing across the sweep (>= 4x bytes-per-config) and an
+  // intern pool that shared. Never on wall time.
   bool ok = deterministic && warm_replay_allocations == 0 && feasible > 0 &&
-            replay_rate > 0.0 && batch_mismatches == 0 &&
-            batch_allocations == 0 && sharing_gain >= 4.0;
+            replay_rate > 0.0 && shared_allocations == 0 && pool.shared > 0 &&
+            sharing_gain >= 4.0;
   return ok ? 0 : 1;
 }

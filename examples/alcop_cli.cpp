@@ -67,7 +67,7 @@
 //                             [--log-file FILE]
 //                                      run alcopd on a unix socket: the
 //                                      long-lived tuning service (fast
-//                                      lane for cache hits, batched slow
+//                                      lane for cache hits, drain-round slow
 //                                      lane for compiles and searches);
 //                                      loads the on-disk cache at start,
 //                                      persists at shutdown. Stop it with

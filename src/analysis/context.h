@@ -66,8 +66,8 @@ struct Site {
 
 // The resource estimator's verdict: whether one threadblock of the
 // analyzed kernel fits the device, and at what occupancy. `reason`
-// mirrors the simulator's infeasibility strings so the tuner pre-filter
-// and the simulator agree verbatim.
+// mirrors the simulator's infeasibility strings so the static check and
+// the simulator agree verbatim.
 struct StaticFeasibility {
   bool feasible = true;
   std::string reason;
@@ -130,8 +130,7 @@ class AnalysisContext {
   // constant or the guard projection exceeds `max_enumeration`.
   int64_t CountExecutions(const Site& site);
 
-  // Published by the resource estimator pass; reused by the tuner
-  // pre-filter plumbing and the CLI.
+  // Published by the resource estimator pass; read by lint and the CLI.
   void SetFeasibility(StaticFeasibility verdict);
   const std::optional<StaticFeasibility>& feasibility() const {
     return feasibility_;

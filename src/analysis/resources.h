@@ -18,8 +18,8 @@
 //    no IR built. Its `reason` strings mirror the simulator's
 //    ("invalid schedule: ...", "threadblock does not fit: ...")
 //    because it must agree with CompileSimProgram verdict-for-verdict -
-//    that agreement is what lets the tuner skip compile+simulate for
-//    infeasible configs without changing any search result.
+//    the model-guided pre-filter (tuner ModelKeepSet) ranks only the
+//    configs it admits, and lint L006 reports its verdict.
 #ifndef ALCOP_ANALYSIS_RESOURCES_H_
 #define ALCOP_ANALYSIS_RESOURCES_H_
 
@@ -39,8 +39,8 @@ class ResourceEstimatorPass : public AnalysisPass {
   void Run(AnalysisContext& ctx, verify::DiagnosticEngine& diags) override;
 };
 
-// Config-arithmetic feasibility check used as the tuner's pre-simulation
-// filter. Agrees with sim::CompileSimProgram's feasibility verdict by
+// Config-arithmetic feasibility check (the model-guided pre-filter's
+// feasible set, lint L006). Agrees with sim::CompileSimProgram's feasibility verdict by
 // construction (same ValidateConfig and occupancy calls, same reason
 // strings).
 StaticFeasibility CheckConfigFeasibility(const schedule::GemmOp& op,

@@ -34,6 +34,7 @@ namespace obs {
 struct RequestRecord {
   uint64_t id = 0;
   std::string client;     // attributed identity ("anon" when unknown)
+  int64_t client_id = 0;  // the request's own "id" field
   std::string method;     // wire method ("compile", "tune", ...)
   std::string op_key;     // workload key when the request names one
   std::string lane;       // "fast" | "slow"

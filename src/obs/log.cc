@@ -2,46 +2,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
 
+#include "support/json.h"
+
 namespace alcop {
 namespace obs {
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string NumberToJson(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 char Lower(char c) { return c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c; }
 
@@ -52,6 +24,9 @@ std::string LowerCopy(const std::string& text) {
 }
 
 }  // namespace
+
+using support::JsonEscape;
+using support::NumberToJson;
 
 LogLevel ParseLogLevel(const std::string& text, LogLevel fallback) {
   std::string lower = LowerCopy(text);

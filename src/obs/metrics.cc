@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "support/check.h"
+#include "support/json.h"
 
 namespace alcop {
 namespace obs {
@@ -38,38 +39,10 @@ int BucketOf(double value) {
   return exp >= Histogram::kBuckets ? Histogram::kBuckets - 1 : exp;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// %.17g prints doubles round-trip exactly and deterministically for a
-// given bit pattern; integers come out without an exponent.
-std::string NumberToJson(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 }  // namespace
+
+using support::JsonEscape;
+using support::NumberToJson;
 
 static_assert(sizeof(HistogramData{}.buckets) / sizeof(uint64_t) ==
                   Histogram::kBuckets,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -474,7 +475,11 @@ PersistStats SaveCache(const std::string& path, const target::GpuSpec& spec) {
   if (target.has_parent_path()) {
     std::filesystem::create_directories(target.parent_path(), ec);
   }
-  std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // Unique per save, not just per process: concurrent savers to one path
+  // each write their own temp file, and the last rename wins whole.
+  static std::atomic<uint64_t> save_seq{0};
+  std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(save_seq.fetch_add(1));
   {
     std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
     if (!file) {

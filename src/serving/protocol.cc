@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cstdio>
 #include <cstring>
 
 namespace alcop {
@@ -128,7 +127,23 @@ class JsonParser {
           case 'r': out->push_back('\r'); break;
           case 'b': out->push_back('\b'); break;
           case 'f': out->push_back('\f'); break;
-          default: return false;  // \uXXXX not needed by the protocol
+          case 'u': {
+            // Only the ASCII escapes JsonEscape writes (\u0000-\u007f).
+            if (text_.size() - pos_ < 4) return false;
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i) {
+              char h = text_[pos_++];
+              if (!std::isxdigit(static_cast<unsigned char>(h))) return false;
+              code = code * 16 + static_cast<unsigned>(
+                  std::isdigit(static_cast<unsigned char>(h))
+                      ? h - '0'
+                      : std::tolower(static_cast<unsigned char>(h)) - 'a' + 10);
+            }
+            if (code >= 0x80) return false;
+            out->push_back(static_cast<char>(code));
+            break;
+          }
+          default: return false;
         }
       } else {
         out->push_back(c);
@@ -247,29 +262,6 @@ std::optional<JsonValue> ParseJson(const std::string& text) {
   JsonParser parser(text);
   if (!parser.Parse(&value)) return std::nullopt;
   return value;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace serving

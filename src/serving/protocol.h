@@ -20,13 +20,15 @@
 // Request fields: op as {"family","batch","m","n","k"}, an explicit
 // config as {"tb":[m,n,k],"warp":[m,n,k],"smem","reg","split_k",
 // "raster","fusion","swizzle","async"} (all but "tb" optional), tune
-// takes "trials" and "warm" (default true). Responses are
-// {"id":..,"ok":true,...} or {"id":..,"ok":false,"error":"..."}.
+// takes "trials" and "warm" (default true). Every integer field must be
+// an integer in range (ids >= 0, counts >= 1); anything else is refused.
+// Responses are {"id":..,"ok":true,...} or
+// {"id":..,"ok":false,"error":"..."}.
 //
 // This header also hosts the minimal JSON value parser the daemon and
-// client share. It is deliberately small (objects, arrays, strings
-// without escapes beyond \" and \\, doubles, bools, null) — enough for
-// the protocol's own grammar, not a general-purpose parser.
+// client share. It is deliberately small (objects, arrays, strings with
+// the escapes support::JsonEscape writes, doubles, bools, null) — enough
+// for the protocol's own grammar, not a general-purpose parser.
 #ifndef ALCOP_SERVING_PROTOCOL_H_
 #define ALCOP_SERVING_PROTOCOL_H_
 
@@ -74,10 +76,6 @@ struct JsonValue {
 // Parses exactly one JSON document (trailing whitespace allowed);
 // nullopt on any syntax error.
 std::optional<JsonValue> ParseJson(const std::string& text);
-
-// Escapes a string for embedding in a JSON literal (quotes, backslash,
-// control characters).
-std::string JsonEscape(const std::string& s);
 
 }  // namespace serving
 }  // namespace alcop

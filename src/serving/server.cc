@@ -36,12 +36,15 @@
 #include "serving/protocol.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
+#include "support/json.h"
 #include "tuner/records.h"
 #include "tuner/strategy.h"
 #include "tuner/transfer.h"
 
 namespace alcop {
 namespace serving {
+
+using support::JsonEscape;
 
 namespace {
 
@@ -120,6 +123,41 @@ std::string ErrorResponse(int64_t id, const std::string& message) {
   return out.str();
 }
 
+// Bounds for integer request fields. Client ids and debug counts may be
+// any non-negative integer a double holds exactly; every other integer
+// field (operator extents, tiles, stage counts, split-K, rasterization,
+// trial budgets) is a positive count, capped far past anything the
+// daemon serves.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+constexpr int64_t kMaxRequestCount = int64_t{1} << 24;
+
+// Reads `value` as an integer in [lo, hi]. A non-number, a fraction or a
+// value past either bound is refused with a reason naming the field,
+// instead of being cast (out-of-range double -> int casts are undefined).
+bool IntegerField(const JsonValue& value, const std::string& name, int64_t lo,
+                  int64_t hi, int64_t* out, std::string* err) {
+  double v = value.kind == JsonValue::Kind::kNumber ? value.number : NAN;
+  if (!(v >= static_cast<double>(lo) && v <= static_cast<double>(hi)) ||
+      v != std::floor(v)) {
+    *err = "\"" + name + "\" must be an integer in [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
+// A positive count field that is optional: absent keeps `*out`.
+bool OptionalCount(const JsonValue& root, const char* key, int* out,
+                   std::string* err) {
+  const JsonValue* v = root.Find(key);
+  if (v == nullptr) return true;
+  int64_t parsed = 0;
+  if (!IntegerField(*v, key, 1, kMaxRequestCount, &parsed, err)) return false;
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 bool FamilyFromName(const std::string& name, schedule::OpFamily* family) {
   for (schedule::OpFamily f :
        {schedule::OpFamily::kMatmul, schedule::OpFamily::kBatchMatmul,
@@ -149,13 +187,13 @@ bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
     *err = "op needs m, n, k";
     return false;
   }
-  op->m = static_cast<int64_t>(m->NumberOr(0));
-  op->n = static_cast<int64_t>(n->NumberOr(0));
-  op->k = static_cast<int64_t>(k->NumberOr(0));
+  op->batch = 1;
   const JsonValue* batch = root.Find("batch");
-  op->batch = batch == nullptr ? 1 : static_cast<int64_t>(batch->NumberOr(1));
-  if (op->m <= 0 || op->n <= 0 || op->k <= 0 || op->batch <= 0) {
-    *err = "op sizes must be positive";
+  if (!IntegerField(*m, "m", 1, kMaxRequestCount, &op->m, err) ||
+      !IntegerField(*n, "n", 1, kMaxRequestCount, &op->n, err) ||
+      !IntegerField(*k, "k", 1, kMaxRequestCount, &op->k, err) ||
+      (batch != nullptr &&
+       !IntegerField(*batch, "batch", 1, kMaxRequestCount, &op->batch, err))) {
     return false;
   }
   std::ostringstream name;
@@ -169,21 +207,22 @@ bool ParseOpJson(const JsonValue& root, schedule::GemmOp* op,
 // required, everything else keeps the ScheduleConfig default.
 bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
                      std::string* err) {
-  auto triple = [&](const char* key, int64_t* a, int64_t* b, int64_t* c,
-                    bool required) {
-    const JsonValue* v = config.Find(key);
-    if (v == nullptr) return !required;
-    if (v->kind != JsonValue::Kind::kArray || v->array.size() != 3) {
+  auto triple = [&](const JsonValue& v, const char* key, int64_t* a,
+                    int64_t* b, int64_t* c) {
+    if (v.kind != JsonValue::Kind::kArray || v.array.size() != 3) {
+      *err = std::string("\"") + key + "\" must be [m,n,k]";
       return false;
     }
-    *a = static_cast<int64_t>(v->array[0].NumberOr(0));
-    *b = static_cast<int64_t>(v->array[1].NumberOr(0));
-    *c = static_cast<int64_t>(v->array[2].NumberOr(0));
-    return *a > 0 && *b > 0 && *c > 0;
+    return IntegerField(v.array[0], key, 1, kMaxRequestCount, a, err) &&
+           IntegerField(v.array[1], key, 1, kMaxRequestCount, b, err) &&
+           IntegerField(v.array[2], key, 1, kMaxRequestCount, c, err);
   };
-  if (!triple("tb", &out->tile.tb_m, &out->tile.tb_n, &out->tile.tb_k,
-              /*required=*/true)) {
+  const JsonValue* tb = config.Find("tb");
+  if (tb == nullptr) {
     *err = "config needs \"tb\":[m,n,k]";
+    return false;
+  }
+  if (!triple(*tb, "tb", &out->tile.tb_m, &out->tile.tb_n, &out->tile.tb_k)) {
     return false;
   }
   // Default warp tile: one warp owning the whole threadblock tile is
@@ -191,22 +230,16 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
   out->tile.warp_m = out->tile.tb_m % 2 == 0 ? out->tile.tb_m / 2 : out->tile.tb_m;
   out->tile.warp_n = out->tile.tb_n % 2 == 0 ? out->tile.tb_n / 2 : out->tile.tb_n;
   out->tile.warp_k = out->tile.tb_k;
-  if (!triple("warp", &out->tile.warp_m, &out->tile.warp_n, &out->tile.warp_k,
-              /*required=*/false)) {
-    *err = "\"warp\" must be [m,n,k]";
+  const JsonValue* warp = config.Find("warp");
+  if (warp != nullptr && !triple(*warp, "warp", &out->tile.warp_m,
+                                 &out->tile.warp_n, &out->tile.warp_k)) {
     return false;
   }
-  if (const JsonValue* v = config.Find("smem")) {
-    out->smem_stages = static_cast<int>(v->NumberOr(out->smem_stages));
-  }
-  if (const JsonValue* v = config.Find("reg")) {
-    out->reg_stages = static_cast<int>(v->NumberOr(out->reg_stages));
-  }
-  if (const JsonValue* v = config.Find("split_k")) {
-    out->split_k = static_cast<int>(v->NumberOr(out->split_k));
-  }
-  if (const JsonValue* v = config.Find("raster")) {
-    out->raster_block = static_cast<int>(v->NumberOr(out->raster_block));
+  if (!OptionalCount(config, "smem", &out->smem_stages, err) ||
+      !OptionalCount(config, "reg", &out->reg_stages, err) ||
+      !OptionalCount(config, "split_k", &out->split_k, err) ||
+      !OptionalCount(config, "raster", &out->raster_block, err)) {
+    return false;
   }
   if (const JsonValue* v = config.Find("fusion")) {
     out->inner_fusion = v->BoolOr(out->inner_fusion);
@@ -218,6 +251,18 @@ bool ParseConfigJson(const JsonValue& config, schedule::ScheduleConfig* out,
     out->async_copies = v->BoolOr(out->async_copies);
   }
   return true;
+}
+
+// The op fields plus the "config" object of a compile or profile request.
+bool ParseCompileJson(const JsonValue& root, schedule::GemmOp* op,
+                      schedule::ScheduleConfig* config, std::string* err) {
+  if (!ParseOpJson(root, op, err)) return false;
+  const JsonValue* cfg = root.Find("config");
+  if (cfg == nullptr) {
+    *err = "compile needs a \"config\" object";
+    return false;
+  }
+  return ParseConfigJson(*cfg, config, err);
 }
 
 void AppendTimingJson(std::ostringstream* out, const sim::KernelTiming& t) {
@@ -839,8 +884,6 @@ struct Server::Impl {
       return;
     }
     request.body = std::move(*body);
-    const JsonValue* id = request.body.Find("id");
-    request.id = id == nullptr ? 0 : static_cast<int64_t>(id->NumberOr(0));
     const JsonValue* method = request.body.Find("method");
     request.method = method == nullptr ? "" : method->StringOr("");
     if (method_override != nullptr) request.method = method_override;
@@ -852,6 +895,14 @@ struct Server::Impl {
     }
     if (client_override != nullptr) {
       request.client = SanitizeClient(client_override);
+    }
+    const JsonValue* id = request.body.Find("id");
+    std::string err;
+    if (id != nullptr &&
+        !IntegerField(*id, "id", 0, kMaxExactInteger, &request.id, &err)) {
+      request.dequeue_ns = request.arrival_ns;
+      Complete(request, ErrorResponse(0, err));
+      return;
     }
     if (FastLane(request)) {
       std::lock_guard<std::mutex> lock(queue_mu);
@@ -900,10 +951,11 @@ struct Server::Impl {
                     request.dequeue_ns);
     obs::RecordSpan(fast ? "serving.request.fast" : "serving.request.slow",
                     "serving", request.arrival_ns, end_ns);
-    if (flight != nullptr) {
+    if (flight != nullptr || access_log.is_open()) {
       obs::RequestRecord rec;
       rec.id = request.req_id;
       rec.client = request.client;
+      rec.client_id = request.id;
       rec.method = request.method;
       rec.op_key = request.op_key;
       rec.lane = request.lane;
@@ -914,29 +966,16 @@ struct Server::Impl {
       rec.queue_us = queue_us;
       rec.service_us = service_us;
       rec.total_us = queue_us + service_us;
-      flight->Record(rec);
+      if (access_log.is_open()) {
+        // The access-log line is the flight record's JSON, byte for byte.
+        std::string line = obs::RequestRecordJson(rec) + "\n";
+        std::lock_guard<std::mutex> lock(access_log_mu);
+        access_log << line;
+        access_log.flush();
+      }
+      if (flight != nullptr) flight->Record(rec);
     }
-    WriteAccessLog(request, queue_us, service_us);
     request.conn->Send(payload);
-  }
-
-  void WriteAccessLog(const Request& request, double queue_us,
-                      double service_us) {
-    if (!access_log.is_open()) return;
-    std::ostringstream line;
-    line.precision(17);
-    line << "{\"id\":" << request.req_id << ",\"client\":\""
-         << JsonEscape(request.client) << "\""
-         << ",\"client_id\":" << request.id << ",\"method\":\""
-         << JsonEscape(request.method) << "\",\"op_key\":\""
-         << JsonEscape(request.op_key) << "\",\"lane\":\"" << request.lane
-         << "\",\"outcome\":\"" << request.outcome
-         << "\",\"batch\":" << request.batch << ",\"queue_us\":" << queue_us
-         << ",\"service_us\":" << service_us
-         << ",\"total_us\":" << queue_us + service_us << "}";
-    std::lock_guard<std::mutex> lock(access_log_mu);
-    access_log << line.str() << "\n";
-    access_log.flush();
   }
 
   // Routing: anything that can be answered without compiling or
@@ -952,9 +991,7 @@ struct Server::Impl {
       schedule::GemmOp op;
       schedule::ScheduleConfig config;
       std::string err;
-      const JsonValue* cfg = request.body.Find("config");
-      if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
-          !ParseConfigJson(*cfg, &config, &err)) {
+      if (!ParseCompileJson(request.body, &op, &config, &err)) {
         return true;  // malformed: answer the error quickly
       }
       // Probe without counting (no LRU touch side effects beyond a hit):
@@ -1031,8 +1068,12 @@ struct Server::Impl {
       const JsonValue* v = request.body.Find(key);
       if (v == nullptr) continue;
       if (v->kind == JsonValue::Kind::kNumber) {
-        params.emplace_back(
-            key, std::to_string(static_cast<uint64_t>(v->NumberOr(0))));
+        int64_t n = 0;
+        std::string err;
+        if (!IntegerField(*v, key, 0, kMaxExactInteger, &n, &err)) {
+          return ErrorResponse(request.id, err);
+        }
+        params.emplace_back(key, std::to_string(n));
       } else {
         params.emplace_back(key, v->StringOr(""));
       }
@@ -1140,28 +1181,26 @@ struct Server::Impl {
     return out.str();
   }
 
+  // The one compile path of both lanes: probe the timing cache, compile
+  // and simulate through it on a miss. `profile` adds the PMU counters of
+  // one more replay of the (now cached) program.
   std::string HandleCompile(Request& request, bool probe_only) {
     schedule::GemmOp op;
     schedule::ScheduleConfig config;
     std::string err;
-    const JsonValue* cfg = request.body.Find("config");
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
-    }
+    bool parsed = ParseCompileJson(request.body, &op, &config, &err);
     request.op_key = op.name;
-    if (cfg == nullptr || !ParseConfigJson(*cfg, &config, &err)) {
-      return ErrorResponse(
-          request.id, err.empty() ? "compile needs a \"config\" object" : err);
-    }
+    if (!parsed) return ErrorResponse(request.id, err);
     request.outcome = "hit";
     sim::KernelTiming timing;
     if (!sim::ProbeCachedTiming(op, config, options.spec,
                                 schedule::InlineOrder::kAfterPipelining,
                                 &timing)) {
-      request.outcome = "fallback";
+      request.outcome = "compiled";
       if (probe_only) {
         // Routing raced an eviction; the slow path below is still correct,
         // just slower than the lane promised.
+        request.outcome = "fallback";
         ServingCounter("serving.fast_lane_fallback").Increment();
       }
       timing = sim::CachedCompileAndSimulate(op, config, options.spec);
@@ -1170,18 +1209,30 @@ struct Server::Impl {
     out.precision(17);
     out << "{\"id\":" << request.id << ",\"ok\":true,";
     AppendTimingJson(&out, timing);
+    if (request.method == "profile" && timing.feasible) {
+      sim::KernelPmu pmu;
+      sim::ReplayArena arena;
+      sim::ReplaySimProgram(*sim::CachedSimProgram(op, config, options.spec),
+                            &arena, &pmu);
+      out << ",\"pmu\":" << sim::PmuToJson(pmu);
+    }
     out << "}";
     return out.str();
   }
 
   // ---------------------------------------------------------------------
-  // Slow lane: drain-and-batch.
+  // Slow lane: drain rounds.
   // ---------------------------------------------------------------------
 
+  // Each wakeup drains the whole queue as one round (the `batch` field of
+  // its requests, one `serving.batches` tick). Within a round, compiles
+  // and profiles run before tunes, in arrival order, so a short request
+  // queued beside a search is not held behind it. Every request is
+  // answered as soon as its own work finishes; its queue wait runs until
+  // the lane starts on it.
   void SlowLoop() {
-    sim::ReplayArena arena;
     while (true) {
-      std::vector<Request> batch;
+      std::vector<Request> round;
       {
         std::unique_lock<std::mutex> lock(queue_mu);
         slow_cv.wait(lock, [&] {
@@ -1190,105 +1241,37 @@ struct Server::Impl {
         });
         if (slow_queue.empty()) return;  // stopping and drained
         while (!slow_queue.empty()) {
-          batch.push_back(std::move(slow_queue.front()));
+          round.push_back(std::move(slow_queue.front()));
           slow_queue.pop_front();
         }
       }
       uint64_t batch_id =
           next_batch_id.fetch_add(1, std::memory_order_relaxed) + 1;
       batches_counter->Increment();
-      int64_t batch_start_ns = obs::NowNanos();
-      for (Request& request : batch) {
-        request.dequeue_ns = batch_start_ns;
+      int64_t round_start_ns = obs::NowNanos();
+      std::stable_partition(round.begin(), round.end(), [](const Request& r) {
+        return r.method == "compile" || r.method == "profile";
+      });
+      for (Request& request : round) {
         request.batch = batch_id;
+        request.dequeue_ns = obs::NowNanos();
+        Complete(request, HandleSlow(request));
       }
-      HandleSlowBatch(batch, &arena);
-      obs::RecordSpan("serving.batch", "serving", batch_start_ns,
+      obs::RecordSpan("serving.batch", "serving", round_start_ns,
                       obs::NowNanos());
     }
   }
 
-  void HandleSlowBatch(std::vector<Request>& batch, sim::ReplayArena* arena) {
-    // Phase 1 for every compile/profile request in the round (program
-    // cache deduplicates identical triples), then one batched phase-2
-    // replay — programs sharing a skeleton run back-to-back off the
-    // arena's reused layout tables.
-    struct Pending {
-      size_t request_index;
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::shared_ptr<const sim::SimProgram> program;
-    };
-    std::vector<Pending> replays;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Request& request = batch[i];
-      if (request.method != "compile" && request.method != "profile") {
-        continue;
-      }
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::string err;
-      const JsonValue* cfg = request.body.Find("config");
-      if (!ParseOpJson(request.body, &op, &err) || cfg == nullptr ||
-          !ParseConfigJson(*cfg, &config, &err)) {
-        request.outcome = "error";
-        Complete(request, ErrorResponse(
-            request.id, err.empty() ? "need op fields and \"config\"" : err));
-        request.method.clear();  // answered
-        continue;
-      }
-      request.op_key = op.name;
-      Pending pending;
-      pending.request_index = i;
-      pending.op = op;
-      pending.config = config;
-      pending.program = sim::CachedSimProgram(op, config, options.spec);
-      replays.push_back(std::move(pending));
+  std::string HandleSlow(Request& request) {
+    const std::string& m = request.method;
+    if (m == "compile" || m == "profile") {
+      return HandleCompile(request, /*probe_only=*/false);
     }
-    if (!replays.empty()) {
-      ServingCounter("serving.batched_replays").Add(replays.size());
-      std::vector<const sim::SimProgram*> programs;
-      programs.reserve(replays.size());
-      for (const Pending& pending : replays) {
-        programs.push_back(pending.program.get());
-      }
-      std::vector<sim::KernelTiming> timings =
-          sim::ReplaySimProgramBatch(programs, arena);
-      for (size_t i = 0; i < replays.size(); ++i) {
-        Request& request = batch[replays[i].request_index];
-        // Warm the timing layer so the next identical request is a
-        // fast-lane probe hit (bit-identical: batched replay equals
-        // individual replay).
-        sim::InsertCachedTiming(
-            sim::SimCacheKey(replays[i].op, replays[i].config, options.spec,
-                             schedule::InlineOrder::kAfterPipelining),
-            timings[i]);
-        std::ostringstream out;
-        out.precision(17);
-        out << "{\"id\":" << request.id << ",\"ok\":true,";
-        AppendTimingJson(&out, timings[i]);
-        if (request.method == "profile" && timings[i].feasible) {
-          sim::KernelPmu pmu;
-          sim::ReplaySimProgram(*replays[i].program, arena, &pmu);
-          out << ",\"pmu\":" << sim::PmuToJson(pmu);
-        }
-        out << "}";
-        request.outcome = "compiled";
-        Complete(request, out.str());
-        request.method.clear();  // answered
-      }
+    if (m == "tune") {
+      request.outcome = "search";
+      return HandleTune(request);
     }
-    for (Request& request : batch) {
-      if (request.method.empty()) continue;
-      if (request.method == "tune") {
-        request.outcome = "search";
-        Complete(request, HandleTune(request));
-      } else {
-        request.outcome = "error";
-        Complete(request, ErrorResponse(
-            request.id, "unknown method \"" + request.method + "\""));
-      }
-    }
+    return ErrorResponse(request.id, "unknown method \"" + m + "\"");
   }
 
   std::string HandleTune(Request& request) {
@@ -1300,7 +1283,11 @@ struct Server::Impl {
     request.op_key = op.name;
     size_t trials = options.default_trials;
     if (const JsonValue* t = request.body.Find("trials")) {
-      trials = static_cast<size_t>(t->NumberOr(static_cast<double>(trials)));
+      int64_t parsed = 0;
+      if (!IntegerField(*t, "trials", 1, kMaxRequestCount, &parsed, &err)) {
+        return ErrorResponse(request.id, err);
+      }
+      trials = static_cast<size_t>(parsed);
     }
     bool warm = options.warm_start;
     if (const JsonValue* w = request.body.Find("warm")) {
@@ -1377,7 +1364,7 @@ struct Server::Impl {
     slow_counter = &registry.GetCounter(
         "serving.slow_lane", "Requests completed on the slow lane.");
     batches_counter = &registry.GetCounter(
-        "serving.batches", "Slow-lane drain rounds (batched replays).");
+        "serving.batches", "Slow-lane drain rounds.");
     http_counter = &registry.GetCounter(
         "serving.http.requests",
         "HTTP requests parsed, including /metrics and /healthz.");
@@ -1387,9 +1374,6 @@ struct Server::Impl {
     registry.GetCounter(
         "serving.fast_lane_fallback",
         "Fast-lane compiles whose probe raced an eviction and compiled.");
-    registry.GetCounter("serving.batched_replays",
-                        "Compile/profile replays answered via batched "
-                        "phase-2 replay.");
     registry.GetCounter("serving.warm_starts",
                         "Tune searches seeded from a stored neighbor.");
     watchdog_counter = &registry.GetCounter(

@@ -15,13 +15,14 @@
 //     whatever the slow lane is chewing on.
 //
 //   slow lane: everything that must compile or search. The worker drains
-//     the whole queue each round and batches the compile/profile
-//     requests' phase-2 replays through one ReplaySimProgramBatch call —
-//     programs sharing a skeleton replay back-to-back off one arena, the
-//     same structure-sharing win the tuner gets. Cold tunes run the
-//     XgbTuner (analytical pretrain + warm_seeds from the nearest stored
-//     shape via tuner/transfer.h) and store their result for the next
-//     neighbor.
+//     the whole queue each round and answers compiles and profiles
+//     before tunes, each as soon as its own work finishes. A compile
+//     takes the same path as a fast-lane compile whose probe missed
+//     (CachedCompileAndSimulate, which warms the timing cache so the
+//     next identical request is a fast-lane hit); a profile adds one PMU
+//     replay of the cached program. Cold tunes run the XgbTuner
+//     (analytical pretrain + warm_seeds from the nearest stored shape via
+//     tuner/transfer.h) and store their result for the next neighbor.
 //
 // Observability (per-request, not just global counters): every request
 // gets a monotonic id at dispatch, queue-wait and lane spans in the

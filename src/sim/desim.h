@@ -185,9 +185,10 @@ struct ReplayArena {
   // Layout-reuse tag: the static addressing tables above (inst_*,
   // stream_inst/stream_rel) depend only on (skeleton, threadblocks), so a
   // replay whose program shares the previous program's skeleton at the
-  // same wave size skips refilling them — the heart of batched replay,
-  // where a structure-sharing sweep pays the layout walk once per
-  // skeleton instead of once per config. The shared_ptr keeps the tagged
+  // same wave size skips refilling them, so a pass over configs that
+  // share skeletons (a tuning sweep, consecutive cache misses of one
+  // operator) pays the layout walk once per run of equal skeletons
+  // instead of once per config. The shared_ptr keeps the tagged
   // skeleton alive so the pointer identity test can never alias a freed
   // skeleton. Dynamic state (counters, slots, heap, pool) is still reset
   // every replay.

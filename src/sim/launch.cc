@@ -400,29 +400,6 @@ KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
   return timing;
 }
 
-std::vector<KernelTiming> ReplaySimProgramBatch(
-    const std::vector<const SimProgram*>& programs, ReplayArena* arena) {
-  // Replay order groups by (skeleton identity, wave size) so each group
-  // pays the arena's layout fill once; per-program results do not depend
-  // on replay order (the arena is reset per replay), so reordering is
-  // observable only as throughput.
-  std::vector<size_t> order(programs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const SimProgram* pa = programs[a];
-    const SimProgram* pb = programs[b];
-    const MicroOpSkeleton* sa = pa->program.skeleton.get();
-    const MicroOpSkeleton* sb = pb->program.skeleton.get();
-    if (sa != sb) return sa < sb;
-    return pa->threadblocks_per_sm < pb->threadblocks_per_sm;
-  });
-  std::vector<KernelTiming> results(programs.size());
-  for (size_t idx : order) {
-    results[idx] = ReplaySimProgram(*programs[idx], arena);
-  }
-  return results;
-}
-
 BatchTimeline ReplayTimeline(const SimProgram& program, ReplayArena* arena) {
   ALCOP_CHECK(program.feasible)
       << "cannot capture timeline: " << program.reason;

@@ -5,7 +5,6 @@
 #define ALCOP_SIM_LAUNCH_H_
 
 #include <string>
-#include <vector>
 
 #include "pipeline/detect.h"
 #include "pipeline/transform.h"
@@ -117,16 +116,6 @@ SimProgram CompileSimProgram(
 // are bit-identical to InterpretKernel's.
 KernelTiming ReplaySimProgram(const SimProgram& program, ReplayArena* arena,
                               KernelPmu* pmu = nullptr);
-
-// Batched phase 2: replays many compiled programs through one arena,
-// ordered so that programs sharing a skeleton at the same wave size run
-// back-to-back — within such a run the arena's static layout tables are
-// filled once and reused (ReplayArena::layout_skeleton), which is where a
-// structure-sharing sweep's replay throughput comes from. Results are
-// returned in input order and are bit-identical to calling
-// ReplaySimProgram on each program individually, in any order.
-std::vector<KernelTiming> ReplaySimProgramBatch(
-    const std::vector<const SimProgram*>& programs, ReplayArena* arena);
 
 // Simulates a compiled kernel on the device (phase 1 + phase 2 with a
 // thread-local arena).

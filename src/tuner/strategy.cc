@@ -114,11 +114,6 @@ TuningTask MakeSimulatorTask(const schedule::GemmOp& op,
   // Measurement goes through the process-wide compile+simulate cache, so
   // repeated sweeps of the same space (other strategies, other seeds,
   // other trial budgets) are lookups instead of recompiles.
-  // The static pre-filter answers "infeasible" from config arithmetic
-  // alone; because CheckConfigFeasibility mirrors the simulator's
-  // feasibility verdict, the returned value is the same kInf the
-  // simulator would have produced after compiling.
-  bool prefilter = options.static_prefilter;
   // The model-guided cut is resolved once, here, into an immutable key
   // set; `measure` stays a pure function of the config (the shared_ptr is
   // read-only after construction, so concurrent measurement is safe).
@@ -128,16 +123,8 @@ TuningTask MakeSimulatorTask(const schedule::GemmOp& op,
         ModelKeepSet(op, spec, task.space, options.model_topk,
                      options.model_explore_stride));
   }
-  task.measure = [op, spec, prefilter,
+  task.measure = [op, spec,
                   model_keep](const schedule::ScheduleConfig& config) {
-    if (prefilter &&
-        !analysis::CheckConfigFeasibility(op, config, spec).feasible) {
-      static obs::Counter& pruned = obs::Registry::Global().GetCounter(
-          "tuner.pruned_static",
-          "Configs rejected by the static feasibility pre-filter.");
-      pruned.Increment();
-      return kInf;
-    }
     if (model_keep && model_keep->count(config.ToString()) == 0) {
       static obs::Counter& pruned = obs::Registry::Global().GetCounter(
           "tuner.pruned_model",

@@ -88,7 +88,7 @@ TEST(ModelPrune, ExplorationTailSurvivesTinyCut) {
 
 TEST(ModelPrune, XgbSearchUnaffectedWhenOff) {
   // With model_topk = 0 (the default), nothing changes: the task measures
-  // every feasible config the static prefilter admits.
+  // every config of the space.
   target::GpuSpec spec = target::AmpereSpec();
   const schedule::GemmOp& op = workloads::FindOp("MM_RN50_FC");
   tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);

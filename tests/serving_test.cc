@@ -1,7 +1,8 @@
 // Tests of the alcopd serving stack: the wire protocol (framing + JSON
 // subset), the client, and an end-to-end daemon on a unix socket —
-// fast-lane routing, slow-lane batched compiles, warm-started tuning and
-// the stored-tuning warm-restart path.
+// fast-lane routing, slow-lane compiles and profiles, refusal of
+// malformed integer fields, warm-started tuning and the stored-tuning
+// warm-restart path.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "schedule/tensor.h"
@@ -18,7 +20,9 @@
 #include "serving/persist.h"
 #include "serving/protocol.h"
 #include "serving/server.h"
+#include "sim/pmu.h"
 #include "sim/sim_cache.h"
+#include "support/json.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
 
@@ -59,8 +63,12 @@ TEST(ProtocolJsonTest, DepthIsBounded) {
 }
 
 TEST(ProtocolJsonTest, EscapeRoundTripsThroughParser) {
-  std::string nasty = "a\"b\\c\nd\te\rf";
-  std::string doc = "{\"s\": \"" + serving::JsonEscape(nasty) + "\"}";
+  // Named escapes for the common controls, \u00XX for every other one.
+  EXPECT_EQ(support::JsonEscape("\t"), "\\t");
+  EXPECT_EQ(support::JsonEscape("\r"), "\\r");
+  EXPECT_EQ(support::JsonEscape("\x01"), "\\u0001");
+  std::string nasty = "a\"b\\c\nd\te\rf\x01g";
+  std::string doc = "{\"s\": \"" + support::JsonEscape(nasty) + "\"}";
   std::optional<JsonValue> v = ParseJson(doc);
   ASSERT_TRUE(v.has_value()) << doc;
   EXPECT_EQ(v->Find("s")->StringOr(""), nasty);
@@ -227,12 +235,12 @@ TEST_F(ServerTest, CompileMissesThenHitsFastLane) {
   server.Stop();
 }
 
-TEST_F(ServerTest, BatchedCompilesFromConcurrentClientsAllAnswer) {
+TEST_F(ServerTest, ConcurrentColdCompilesMatchUncachedSimulation) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
   // Several clients slam the slow lane at once; the worker drains them
-  // as one batched replay round. Every request must get its own answer.
+  // in rounds. Every request must get its own answer.
   std::vector<std::thread> clients;
   std::vector<double> cycles(6, 0.0);
   for (int i = 0; i < 6; ++i) {
@@ -253,15 +261,106 @@ TEST_F(ServerTest, BatchedCompilesFromConcurrentClientsAllAnswer) {
     });
   }
   for (std::thread& thread : clients) thread.join();
-  for (double c : cycles) EXPECT_GT(c, 0.0);
 
-  // Batched replay must be bit-identical to the direct path.
+  // The daemon answers through the sim cache; every answer must be
+  // bit-identical to an uncached compile and simulation.
   schedule::ScheduleConfig config;
   config.tile = {128, 128, 32, 64, 64, 16};
   config.smem_stages = 2;
-  sim::KernelTiming direct = sim::CachedCompileAndSimulate(
-      schedule::MakeMatmul("mm", 512, 512, 640), config, options_.spec);
-  EXPECT_EQ(cycles[1], direct.cycles);
+  for (int i = 0; i < 6; ++i) {
+    sim::KernelTiming direct = sim::CompileAndSimulate(
+        schedule::MakeMatmul("mm", 512, 512, 512 + 128 * i), config,
+        options_.spec);
+    ASSERT_TRUE(direct.feasible);
+    EXPECT_EQ(cycles[static_cast<size_t>(i)], direct.cycles) << "client " << i;
+  }
+  server.Stop();
+}
+
+TEST_F(ServerTest, ProfileMatchesUncachedSimulationAndDirectPmuReplay) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  std::string request =
+      "{\"id\":5,\"method\":\"profile\",\"m\":512,\"n\":512,\"k\":1024,"
+      "\"config\":{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":3}}";
+  std::optional<std::string> cold = client.CallRaw(request);
+  ASSERT_TRUE(cold.has_value());
+  std::optional<JsonValue> parsed = ParseJson(*cold);
+  ASSERT_TRUE(parsed.has_value()) << *cold;
+  ASSERT_TRUE(parsed->Find("ok")->BoolOr(false)) << *cold;
+  ASSERT_TRUE(parsed->Find("feasible")->BoolOr(false)) << *cold;
+
+  schedule::GemmOp op = schedule::MakeMatmul("mm", 512, 512, 1024);
+  schedule::ScheduleConfig config;
+  config.tile = {128, 128, 32, 64, 64, 16};
+  config.smem_stages = 3;
+  EXPECT_EQ(parsed->Find("cycles")->NumberOr(-1),
+            sim::CompileAndSimulate(op, config, options_.spec).cycles);
+  sim::SimProgram program = sim::CompileSimProgram(op, config, options_.spec);
+  sim::ReplayArena arena;
+  sim::KernelPmu pmu;
+  sim::ReplaySimProgram(program, &arena, &pmu);
+  std::string tail = ",\"pmu\":" + sim::PmuToJson(pmu) + "}";
+  ASSERT_GE(cold->size(), tail.size());
+  EXPECT_EQ(cold->substr(cold->size() - tail.size()), tail);
+
+  // Again, now that the timing and the program are cached: same bytes.
+  std::optional<std::string> warm = client.CallRaw(request);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(*warm, *cold);
+  server.Stop();
+}
+
+TEST_F(ServerTest, RefusesNonIntegralAndOutOfRangeIntegers) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  // One valid request per integer field, with '@' where the bad value
+  // goes; the refusal must name the field.
+  const std::string op = R"("m":256,"n":256,"k":512)";
+  auto compile = [](const std::string& op_fields, const std::string& config) {
+    return R"({"id":1,"method":"compile",)" + op_fields + R"(,"config":{)" +
+           config + "}}";
+  };
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"id", R"({"id":@,"method":"ping"})"},
+      {"n", R"({"id":1,"method":"debug","what":"requests","n":@})"},
+      {"m", compile(R"("m":@,"n":256,"k":512)", R"("tb":[128,128,32])")},
+      {"n", compile(R"("m":256,"n":@,"k":512)", R"("tb":[128,128,32])")},
+      {"k", compile(R"("m":256,"n":256,"k":@)", R"("tb":[128,128,32])")},
+      {"batch", compile(op + R"(,"batch":@)", R"("tb":[128,128,32])")},
+      {"tb", compile(op, R"("tb":[128,@,32])")},
+      {"warp", compile(op, R"("tb":[128,128,32],"warp":[64,64,@])")},
+      {"smem", compile(op, R"("tb":[128,128,32],"smem":@)")},
+      {"reg", compile(op, R"("tb":[128,128,32],"reg":@)")},
+      {"split_k", compile(op, R"("tb":[128,128,32],"split_k":@)")},
+      {"raster", compile(op, R"("tb":[128,128,32],"raster":@)")},
+      {"trials",
+       R"({"id":1,"method":"tune","m":512,"n":512,"k":512,"trials":@})"},
+  };
+  for (const char* bad : {"-1", "1.5", "1e300"}) {
+    for (const auto& [field, pattern] : cases) {
+      std::string request = pattern;
+      request.replace(request.find('@'), 1, bad);
+      std::optional<JsonValue> response = client.Call(request);
+      ASSERT_TRUE(response.has_value()) << request;
+      EXPECT_FALSE(response->Find("ok")->BoolOr(true)) << request;
+      const JsonValue* error = response->Find("error");
+      ASSERT_NE(error, nullptr) << request;
+      EXPECT_NE(error->StringOr("").find("\"" + field + "\""),
+                std::string::npos)
+          << request << " -> " << error->StringOr("");
+    }
+  }
+
+  std::optional<JsonValue> pong = client.Call(R"({"id":2,"method":"ping"})");
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->Find("ok")->BoolOr(false));
   server.Stop();
 }
 
