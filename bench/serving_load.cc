@@ -360,8 +360,6 @@ int main(int argc, char** argv) {
   // defaults: the overhead gate below prices retention + per-client
   // labels + the watchdog together.
   obs_options.flight_depth = 4096;
-  obs_options.snapshot_interval_ms = 200;
-  obs_options.snapshot_depth = 300;
   obs_options.watchdog_stall_ms = 1000;
   obs_options.client_metrics = true;
   serving::Server obs_server(obs_options);
@@ -442,7 +440,6 @@ int main(int argc, char** argv) {
   plain_options.default_trials = 4;
   plain_options.persist_on_shutdown = false;
   plain_options.flight_depth = 0;
-  plain_options.snapshot_interval_ms = 0;
   plain_options.watchdog_stall_ms = 0;
   plain_options.client_metrics = false;
   serving::Server plain_server(plain_options);

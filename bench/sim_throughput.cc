@@ -164,9 +164,7 @@ int main(int argc, char** argv) {
 
   // Shared-arena replay over the sweep's cached programs: they share
   // interned skeletons (configs differing only numerically walk identical
-  // instruction sequences), and back-to-back replays of one skeleton at
-  // one wave size reuse the arena's layout tables
-  // (ReplayArena::layout_skeleton). Gates: the warm pass is
+  // instruction sequences) and one arena. Gates: the warm pass is
   // allocation-free and the intern pool really shared skeletons.
   std::vector<std::shared_ptr<const sim::SimProgram>> shared_programs;
   for (const tuner::TuningTask& task : tasks) {

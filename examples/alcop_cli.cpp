@@ -62,9 +62,8 @@
 //   alcop_cli serve    SOCKET [--trials N] [--seed N] [--no-warm]
 //                             [--cache FILE] [--no-persist] [--budget B]
 //                             [--http PORT] [--access-log FILE]
-//                             [--flight-depth N] [--snapshot-interval MS]
-//                             [--watchdog-ms MS] [--log-level LEVEL]
-//                             [--log-file FILE]
+//                             [--flight-depth N] [--watchdog-ms MS]
+//                             [--log-level LEVEL] [--log-file FILE]
 //                                      run alcopd on a unix socket: the
 //                                      long-lived tuning service (fast
 //                                      lane for cache hits, drain-round slow
@@ -75,14 +74,13 @@
 //                                      --http adds a loopback HTTP front
 //                                      end (0 = ephemeral port): GET
 //                                      /metrics (Prometheus), /healthz,
-//                                      /debug/{requests,timeseries,trace,
-//                                      log}, POST /v1/<method>.
+//                                      /debug/{requests,trace,log}, POST
+//                                      /v1/<method>.
 //                                      --access-log writes one JSONL line
 //                                      per request. --flight-depth sizes
 //                                      the request flight recorder,
-//                                      --snapshot-interval the periodic
-//                                      metrics time series, --watchdog-ms
-//                                      the stalled-lane threshold.
+//                                      --watchdog-ms the stalled-lane
+//                                      threshold.
 //                                      --log-level (or $ALCOP_LOG_LEVEL)
 //                                      is debug|info|warn|error|off;
 //                                      --log-file appends the JSONL log.
@@ -95,10 +93,9 @@
 //                                             --tb M,N,K [--warp M,N,K]
 //                                             [--smem S] [--reg R]
 //                                             [--split-k S]
-//                                        debug [requests|timeseries|log|
-//                                             trace] [N] [--client C]
-//                                             [--lane L] [--outcome O]
-//                                             [--metric M]
+//                                        debug [requests|log|trace] [N]
+//                                             [--client C] [--lane L]
+//                                             [--outcome O]
 //                                        '{...}'   raw protocol JSON
 //                                      prints the response payload; exit 0
 //                                      iff the daemon answered ok:true.
@@ -945,9 +942,6 @@ int CmdServe(int argc, char** argv) {
       options.access_log_path = argv[++i];
     } else if (std::strcmp(argv[i], "--flight-depth") == 0 && i + 1 < argc) {
       options.flight_depth = static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--snapshot-interval") == 0 &&
-               i + 1 < argc) {
-      options.snapshot_interval_ms = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
       options.watchdog_stall_ms = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--log-level") == 0 && i + 1 < argc) {
@@ -1032,8 +1026,8 @@ int CmdClient(int argc, char** argv) {
              method == "load" || method == "shutdown") {
     payload = "{\"id\":1,\"method\":\"" + method + "\"}";
   } else if (method == "debug") {
-    // client SOCKET debug [requests|timeseries|log|trace] [N]
-    //   [--client C] [--lane L] [--outcome O] [--metric M]
+    // client SOCKET debug [requests|log|trace] [N]
+    //   [--client C] [--lane L] [--outcome O]
     std::string what = "requests";
     std::ostringstream extra;
     long long n = 0;
@@ -1044,8 +1038,6 @@ int CmdClient(int argc, char** argv) {
         extra << ",\"lane\":\"" << argv[++i] << "\"";
       } else if (std::strcmp(argv[i], "--outcome") == 0 && i + 1 < argc) {
         extra << ",\"outcome\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
-        extra << ",\"metric\":\"" << argv[++i] << "\"";
       } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
         n = std::atoll(argv[i]);
       } else {

@@ -77,56 +77,5 @@ std::vector<std::pair<std::string, double>> FlattenSnapshot(
   return out;
 }
 
-MetricsTimeSeries::MetricsTimeSeries(size_t depth) : depth_(depth) {}
-
-void MetricsTimeSeries::Sample(int64_t t_ns,
-                               const std::vector<MetricSnapshot>& snapshot) {
-  if (depth_ == 0) return;
-  Sample_ sample;
-  sample.t_ns = t_ns;
-  sample.values = FlattenSnapshot(snapshot);
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(std::move(sample));
-  while (ring_.size() > depth_) ring_.pop_front();
-}
-
-std::vector<std::string> MetricsTimeSeries::Names() const {
-  std::vector<std::string> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return out;
-  out.reserve(ring_.back().values.size());
-  for (const auto& [name, value] : ring_.back().values) {
-    (void)value;
-    out.push_back(name);
-  }
-  return out;
-}
-
-std::vector<MetricsTimeSeries::Point> MetricsTimeSeries::Series(
-    const std::string& metric) const {
-  std::vector<Point> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Sample_& sample : ring_) {
-    auto it = std::lower_bound(
-        sample.values.begin(), sample.values.end(), metric,
-        [](const std::pair<std::string, double>& entry,
-           const std::string& key) { return entry.first < key; });
-    if (it != sample.values.end() && it->first == metric) {
-      out.push_back(Point{sample.t_ns, it->second});
-    }
-  }
-  return out;
-}
-
-size_t MetricsTimeSeries::samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-void MetricsTimeSeries::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-}
-
 }  // namespace obs
 }  // namespace alcop

@@ -1,18 +1,13 @@
 // Flight recorder: fixed-budget retained history for the serving daemon
-// (DESIGN.md "Flight recorder and debug surface"). Two rings:
+// (DESIGN.md "Flight recorder and debug surface"). FlightRecorder keeps
+// the last N *completed* request records — full lifecycle stamps, client,
+// lane, outcome — so "what were the last requests before the tail spike"
+// is answerable from a live process (`GET /debug/requests`).
 //
-//   - FlightRecorder keeps the last N *completed* request records — full
-//     lifecycle stamps, client, lane, outcome — so "what were the last
-//     requests before the tail spike" is answerable from a live process
-//     (`GET /debug/requests`).
-//   - MetricsTimeSeries keeps periodic flattened registry snapshots so
-//     "what changed in the last 60 s" is answerable without an external
-//     scraper (`GET /debug/timeseries`).
-//
-// Both are mutex-guarded deques sized at construction; memory is bounded
-// by depth, never by traffic. Recording one request is a small copy under
-// an uncontended lock — far off the hot path relative to the request's
-// own queue/service time.
+// The ring is a mutex-guarded deque sized at construction; memory is
+// bounded by depth, never by traffic. Recording one request is a small
+// copy under an uncontended lock — far off the hot path relative to the
+// request's own queue/service time.
 #ifndef ALCOP_OBS_FLIGHT_H_
 #define ALCOP_OBS_FLIGHT_H_
 
@@ -80,46 +75,11 @@ class FlightRecorder {
   uint64_t total_ = 0;
 };
 
-// One registry snapshot flattened to (name, value) pairs: counters,
-// gauges and callbacks keep their value; histograms expand to
-// `<name>.count` and `<name>.sum` so rates and means are derivable from
-// two adjacent samples.
+// One registry snapshot flattened to (name, value) pairs, sorted by
+// name (the watchdog's stall dump): counters, gauges and callbacks keep
+// their value; histograms expand to `<name>.count` and `<name>.sum`.
 std::vector<std::pair<std::string, double>> FlattenSnapshot(
     const std::vector<MetricSnapshot>& snapshot);
-
-// Ring of periodic flattened registry snapshots. Thread-safe.
-class MetricsTimeSeries {
- public:
-  explicit MetricsTimeSeries(size_t depth);
-
-  void Sample(int64_t t_ns, const std::vector<MetricSnapshot>& snapshot);
-
-  // Flattened metric names seen in the most recent sample, sorted.
-  std::vector<std::string> Names() const;
-
-  struct Point {
-    int64_t t_ns = 0;
-    double value = 0.0;
-  };
-
-  // All retained points for `metric`, oldest first (samples where the
-  // metric did not exist yet are skipped).
-  std::vector<Point> Series(const std::string& metric) const;
-
-  size_t samples() const;
-  size_t depth() const { return depth_; }
-  void Clear();
-
- private:
-  struct Sample_ {
-    int64_t t_ns = 0;
-    std::vector<std::pair<std::string, double>> values;  // sorted by name
-  };
-
-  const size_t depth_;
-  mutable std::mutex mu_;
-  std::deque<Sample_> ring_;  // oldest at front
-};
 
 }  // namespace obs
 }  // namespace alcop

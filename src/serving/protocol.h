@@ -15,13 +15,18 @@
 //   profile                    compile plus PMU counters
 //   tune                       search the schedule space (warm-started)
 //   persist / load             save/load the on-disk cache
+//   debug                      the GET /debug views over the socket
 //   shutdown                   stop the daemon
 //
 // Request fields: op as {"family","batch","m","n","k"}, an explicit
 // config as {"tb":[m,n,k],"warp":[m,n,k],"smem","reg","split_k",
 // "raster","fusion","swizzle","async"} (all but "tb" optional), tune
-// takes "trials" and "warm" (default true). Every integer field must be
-// an integer in range (ids >= 0, counts >= 1); anything else is refused.
+// takes "trials", "warm" (default true) and "force" (search even when a
+// result is stored), persist/load take "path", debug takes "what"
+// (requests|trace|log) and "n"/"client"/"lane"/"outcome". Every integer
+// field must be an integer in range (ids >= 0, counts >= 1). The daemon
+// parses a request once, on arrival: an unknown method or a malformed
+// field is refused there, before the request reaches a lane.
 // Responses are {"id":..,"ok":true,...} or
 // {"id":..,"ok":false,"error":"..."}.
 //

@@ -20,9 +20,11 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/chrome_trace.h"
@@ -98,11 +100,57 @@ struct Conn {
   }
 };
 
+// The wire methods. Dispatch maps the name once; everything after it
+// switches on this.
+enum class Method {
+  kPing,
+  kStats,
+  kDebug,
+  kPersist,
+  kLoad,
+  kShutdown,
+  kCompile,
+  kProfile,
+  kTune,
+};
+
+bool MethodFromName(const std::string& name, Method* method) {
+  static constexpr std::pair<const char*, Method> kNames[] = {
+      {"ping", Method::kPing},         {"stats", Method::kStats},
+      {"debug", Method::kDebug},       {"persist", Method::kPersist},
+      {"load", Method::kLoad},         {"shutdown", Method::kShutdown},
+      {"compile", Method::kCompile},   {"profile", Method::kProfile},
+      {"tune", Method::kTune},
+  };
+  for (const auto& [text, value] : kNames) {
+    if (name == text) {
+      *method = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+// One request, parsed once by Dispatch. The lanes read these typed
+// fields, never the JSON body.
 struct Request {
   std::shared_ptr<Conn> conn;
-  JsonValue body;
-  int64_t id = 0;  // client-chosen correlation id from the payload
-  std::string method;
+  int64_t id = 0;      // client-chosen correlation id from the payload
+  std::string method;  // wire name, as the flight record prints it
+  Method kind = Method::kPing;
+
+  schedule::GemmOp op;              // compile, profile, tune
+  schedule::ScheduleConfig config;  // compile, profile
+  size_t trials = 0;                // tune
+  bool warm = true;                 // tune
+  bool force = false;               // tune: search even when stored
+  std::string path;                 // persist, load
+  std::string debug_what = "requests";
+  std::vector<std::pair<std::string, std::string>> debug_params;
+
+  // What routing found, carried to the fast lane so it only formats.
+  std::optional<sim::KernelTiming> timing;    // compile: the probe's hit
+  std::optional<tuner::StoredTuning> stored;  // tune: the stored search
 
   // Per-request observability, filled in by Dispatch / the lanes.
   uint64_t req_id = 0;     // daemon-assigned monotonic id
@@ -265,6 +313,70 @@ bool ParseCompileJson(const JsonValue& root, schedule::GemmOp* op,
   return ParseConfigJson(*cfg, config, err);
 }
 
+// {"what":..,"n":..,"client":..,"lane":..,"outcome":..}: the socket
+// mirror of GET /debug/<what>?<params>.
+bool ParseDebugJson(const JsonValue& root, Request* request, std::string* err) {
+  if (const JsonValue* what = root.Find("what")) {
+    request->debug_what = what->StringOr("requests");
+  }
+  for (const char* key : {"n", "client", "lane", "outcome"}) {
+    const JsonValue* v = root.Find(key);
+    if (v == nullptr) continue;
+    if (v->kind == JsonValue::Kind::kNumber) {
+      int64_t n = 0;
+      if (!IntegerField(*v, key, 0, kMaxExactInteger, &n, err)) return false;
+      request->debug_params.emplace_back(key, std::to_string(n));
+    } else {
+      request->debug_params.emplace_back(key, v->StringOr(""));
+    }
+  }
+  return true;
+}
+
+// Fills the typed fields of `request` (whose `method` is already set)
+// from the JSON body: unknown methods and malformed fields are refused
+// with the reason in `err`.
+bool ParseRequest(const JsonValue& root, const ServerOptions& options,
+                  Request* request, std::string* err) {
+  if (!MethodFromName(request->method, &request->kind)) {
+    *err = "unknown method \"" + request->method + "\"";
+    return false;
+  }
+  switch (request->kind) {
+    case Method::kCompile:
+    case Method::kProfile:
+      return ParseCompileJson(root, &request->op, &request->config, err);
+    case Method::kTune: {
+      if (!ParseOpJson(root, &request->op, err)) return false;
+      int trials = 0;  // absent: the daemon's default
+      if (!OptionalCount(root, "trials", &trials, err)) return false;
+      request->trials =
+          trials > 0 ? static_cast<size_t>(trials) : options.default_trials;
+      const JsonValue* warm = root.Find("warm");
+      request->warm =
+          warm == nullptr ? options.warm_start : warm->BoolOr(options.warm_start);
+      const JsonValue* force = root.Find("force");
+      request->force = force != nullptr && force->BoolOr(false);
+      return true;
+    }
+    case Method::kPersist:
+    case Method::kLoad: {
+      const JsonValue* path = root.Find("path");
+      request->path = path == nullptr ? options.cache_path
+                                      : path->StringOr(options.cache_path);
+      if (request->path.empty()) request->path = DefaultCachePath();
+      return true;
+    }
+    case Method::kDebug:
+      return ParseDebugJson(root, request, err);
+    case Method::kPing:
+    case Method::kStats:
+    case Method::kShutdown:
+      return true;
+  }
+  return true;
+}
+
 void AppendTimingJson(std::ostringstream* out, const sim::KernelTiming& t) {
   (*out) << "\"feasible\":" << (t.feasible ? "true" : "false");
   if (!t.feasible) {
@@ -358,16 +470,14 @@ struct Server::Impl {
   std::atomic<uint64_t> next_request_id{0};
   std::atomic<uint64_t> next_batch_id{0};
   int64_t start_ns = 0;
-  int64_t last_snapshot_ns = 0;  // IO-thread-only
   bool prev_trace_enabled = false;
 
   std::ofstream access_log;
   std::mutex access_log_mu;
 
-  // Flight recorder + periodic registry snapshots (created in Start from
-  // the options; null when disabled).
+  // Flight recorder (created in Start from the options; null when
+  // disabled).
   std::unique_ptr<obs::FlightRecorder> flight;
-  std::unique_ptr<obs::MetricsTimeSeries> timeseries;
 
   // Per-client attribution: top-K identities get their own labeled
   // series, everyone past the cap shares the "other" slot so label
@@ -531,28 +641,19 @@ struct Server::Impl {
   }
 
   // ---------------------------------------------------------------------
-  // Watchdog + periodic snapshots (IO thread).
+  // Watchdog (IO thread).
   // ---------------------------------------------------------------------
 
-  // How long poll() may sleep so the monitor still runs: the snapshot
-  // interval and a quarter of the stall threshold (clamped to [1ms, 1s])
-  // both bound it; -1 (block forever) when both subsystems are off.
+  // How long poll() may sleep so the watchdog still runs: a quarter of
+  // the stall threshold, clamped to [1ms, 1s]; -1 (block until traffic)
+  // when the watchdog is off.
   int MonitorTimeoutMs() const {
-    int timeout = -1;
-    if (timeseries != nullptr && options.snapshot_interval_ms > 0) {
-      timeout = options.snapshot_interval_ms;
-    }
-    if (options.watchdog_stall_ms > 0) {
-      int tick = options.watchdog_stall_ms / 4;
-      if (tick < 1) tick = 1;
-      if (tick > 1000) tick = 1000;
-      if (timeout < 0 || tick < timeout) timeout = tick;
-    }
-    return timeout;
+    if (options.watchdog_stall_ms <= 0) return -1;
+    return std::clamp(options.watchdog_stall_ms / 4, 1, 1000);
   }
 
-  // Heartbeat: queue-depth/oldest-age gauges per lane, periodic registry
-  // snapshot into the time-series ring, and one-shot stall detection.
+  // Heartbeat: queue-depth/oldest-age gauges per lane and one-shot stall
+  // detection.
   // Runs after every poll() return, so its cost is bounded by the poll
   // cadence, not the request rate.
   void MonitorTick(int64_t now_ns) {
@@ -599,12 +700,6 @@ struct Server::Impl {
     };
     tick_lane("fast", fast_watch, fast_reading);
     tick_lane("slow", slow_watch, slow_reading);
-    if (timeseries != nullptr && options.snapshot_interval_ms > 0 &&
-        now_ns - last_snapshot_ns >=
-            static_cast<int64_t>(options.snapshot_interval_ms) * 1000000) {
-      last_snapshot_ns = now_ns;
-      timeseries->Sample(now_ns, obs::Registry::Global().Snapshot());
-    }
   }
 
   // One-shot diagnostic on a stalled lane: the flight-recorder tail and
@@ -776,38 +871,6 @@ struct Server::Impl {
     return out.str();
   }
 
-  // Without `metric`: the list of sampled names. With one: up to `n`
-  // most recent points, oldest first.
-  std::string DebugTimeseriesJson(const std::string& metric, size_t n) {
-    std::ostringstream out;
-    out.precision(17);
-    if (metric.empty()) {
-      out << "{\"metrics\":[";
-      if (timeseries != nullptr) {
-        bool first = true;
-        for (const std::string& name : timeseries->Names()) {
-          if (!first) out << ",";
-          first = false;
-          out << "\"" << JsonEscape(name) << "\"";
-        }
-      }
-      out << "],\"samples\":"
-          << (timeseries == nullptr ? 0 : timeseries->samples()) << "}";
-      return out.str();
-    }
-    std::vector<obs::MetricsTimeSeries::Point> points;
-    if (timeseries != nullptr) points = timeseries->Series(metric);
-    size_t start = points.size() > n ? points.size() - n : 0;
-    out << "{\"metric\":\"" << JsonEscape(metric) << "\",\"points\":[";
-    for (size_t i = start; i < points.size(); ++i) {
-      if (i != start) out << ",";
-      out << "{\"t_ns\":" << points[i].t_ns << ",\"value\":"
-          << points[i].value << "}";
-    }
-    out << "]}";
-    return out.str();
-  }
-
   // Drains the span rings as a Chrome/Perfetto trace snapshot.
   static std::string DebugTraceJson() {
     obs::ChromeTraceWriter writer;
@@ -832,7 +895,7 @@ struct Server::Impl {
     return out.str();
   }
 
-  // `what` is the path tail ("requests", "timeseries", "trace", "log");
+  // `what` is the path tail ("requests", "trace", "log");
   // false = unknown endpoint.
   bool HandleDebugQuery(
       const std::string& what,
@@ -845,11 +908,6 @@ struct Server::Impl {
       filter.outcome = QueryParam(params, "outcome");
       *body = DebugRequestsJson(ParseCount(QueryParam(params, "n"), 50),
                                 filter);
-      return true;
-    }
-    if (what == "timeseries") {
-      *body = DebugTimeseriesJson(QueryParam(params, "metric"),
-                                  ParseCount(QueryParam(params, "n"), 600));
       return true;
     }
     if (what == "trace") {
@@ -873,38 +931,46 @@ struct Server::Impl {
     request.transport = conn->http ? "http" : "unix";
     request.client = conn->client;
     inflight_gauge->Add(1.0);
+    // A refused request is answered here, on the IO thread, with no
+    // queue wait.
+    auto refuse = [&](int64_t id, const std::string& message) {
+      request.dequeue_ns = request.arrival_ns;
+      Complete(request, ErrorResponse(id, message));
+    };
     std::optional<JsonValue> body = ParseJson(payload);
     if (!body.has_value()) {
       if (client_override != nullptr) {
         request.client = SanitizeClient(client_override);
       }
-      request.dequeue_ns = request.arrival_ns;
-      request.outcome = "error";
-      Complete(request, ErrorResponse(0, "malformed JSON"));
+      refuse(0, "malformed JSON");
       return;
     }
-    request.body = std::move(*body);
-    const JsonValue* method = request.body.Find("method");
+    const JsonValue* method = body->Find("method");
     request.method = method == nullptr ? "" : method->StringOr("");
     if (method_override != nullptr) request.method = method_override;
     // Attribution priority: transport-verified header > self-declared
     // body field > connection default (peer uid / "anon").
-    if (const JsonValue* c = request.body.Find("client")) {
+    if (const JsonValue* c = body->Find("client")) {
       std::string declared = c->StringOr("");
       if (!declared.empty()) request.client = SanitizeClient(declared);
     }
     if (client_override != nullptr) {
       request.client = SanitizeClient(client_override);
     }
-    const JsonValue* id = request.body.Find("id");
+    const JsonValue* id = body->Find("id");
     std::string err;
     if (id != nullptr &&
         !IntegerField(*id, "id", 0, kMaxExactInteger, &request.id, &err)) {
-      request.dequeue_ns = request.arrival_ns;
-      Complete(request, ErrorResponse(0, err));
+      refuse(0, err);
       return;
     }
-    if (FastLane(request)) {
+    bool parsed = ParseRequest(*body, options, &request, &err);
+    request.op_key = request.op.name;
+    if (!parsed) {
+      refuse(request.id, err);
+      return;
+    }
+    if (Route(request)) {
       std::lock_guard<std::mutex> lock(queue_mu);
       fast_queue.push_back(std::move(request));
       fast_cv.notify_one();
@@ -979,36 +1045,33 @@ struct Server::Impl {
   }
 
   // Routing: anything that can be answered without compiling or
-  // searching goes to the fast lane. The probes here are O(1) lookups —
-  // never a compile.
-  bool FastLane(const Request& request) {
-    const std::string& m = request.method;
-    if (m == "ping" || m == "stats" || m == "persist" || m == "load" ||
-        m == "shutdown" || m == "debug" || m.empty()) {
-      return true;
-    }
-    if (m == "compile") {
-      schedule::GemmOp op;
-      schedule::ScheduleConfig config;
-      std::string err;
-      if (!ParseCompileJson(request.body, &op, &config, &err)) {
-        return true;  // malformed: answer the error quickly
-      }
-      // Probe without counting (no LRU touch side effects beyond a hit):
-      sim::KernelTiming timing;
-      return sim::ProbeCachedTiming(op, config, options.spec,
+  // searching goes to the fast lane, carrying what its probe found. The
+  // probes here are O(1) lookups, never a compile.
+  bool Route(Request& request) {
+    switch (request.kind) {
+      case Method::kCompile: {
+        sim::KernelTiming timing;
+        if (!sim::ProbeCachedTiming(request.op, request.config, options.spec,
                                     schedule::InlineOrder::kAfterPipelining,
-                                    &timing);
+                                    &timing)) {
+          return false;
+        }
+        request.timing = std::move(timing);
+        request.outcome = "hit";
+        return true;
+      }
+      case Method::kProfile:
+        return false;
+      case Method::kTune:
+        if (request.force) return false;
+        request.stored =
+            tuner::TuningStore::Global().Get(tuner::OpKey(request.op));
+        if (!request.stored.has_value()) return false;
+        request.outcome = "stored";
+        return true;
+      default:
+        return true;
     }
-    if (m == "tune") {
-      schedule::GemmOp op;
-      std::string err;
-      if (!ParseOpJson(request.body, &op, &err)) return true;
-      const JsonValue* force = request.body.Find("force");
-      if (force != nullptr && force->BoolOr(false)) return false;
-      return tuner::TuningStore::Global().Get(tuner::OpKey(op)).has_value();
-    }
-    return false;  // profile and anything unknown-but-heavy
   }
 
   // ---------------------------------------------------------------------
@@ -1030,61 +1093,49 @@ struct Server::Impl {
       }
       request.dequeue_ns = obs::NowNanos();
       Complete(request, HandleFast(request));
-      if (request.method == "shutdown") {
+      if (request.kind == Method::kShutdown) {
         RequestStop();
         return;
       }
     }
   }
 
-  std::string HandleFast(Request& request) {
-    const std::string& m = request.method;
-    if (m == "ping") {
-      std::ostringstream out;
-      out << "{\"id\":" << request.id << ",\"ok\":true,\"pong\":true}";
-      return out.str();
+  std::string HandleFast(const Request& request) {
+    switch (request.kind) {
+      case Method::kPing:
+        return "{\"id\":" + std::to_string(request.id) +
+               ",\"ok\":true,\"pong\":true}";
+      case Method::kShutdown:
+        return "{\"id\":" + std::to_string(request.id) +
+               ",\"ok\":true,\"stopping\":true}";
+      case Method::kStats:
+        return HandleStats(request);
+      case Method::kDebug:
+        return HandleDebug(request);
+      case Method::kPersist:
+      case Method::kLoad:
+        return HandlePersist(request);
+      case Method::kCompile:
+        return TimingResponse(request, *request.timing);
+      case Method::kTune:
+        return StoredTuneResponse(request);
+      case Method::kProfile:
+        break;  // never routed here
     }
-    if (m == "shutdown") {
-      std::ostringstream out;
-      out << "{\"id\":" << request.id << ",\"ok\":true,\"stopping\":true}";
-      return out.str();
-    }
-    if (m == "stats") return HandleStats(request);
-    if (m == "debug") return HandleDebug(request);
-    if (m == "persist" || m == "load") return HandlePersist(request);
-    if (m == "compile") return HandleCompile(request, /*probe_only=*/true);
-    if (m == "tune") return HandleStoredTune(request);
-    return ErrorResponse(request.id, "unknown method \"" + m + "\"");
+    return ErrorResponse(request.id, "profile runs on the slow lane");
   }
 
   // Socket-side mirror of GET /debug/*: {"method":"debug","what":...}
-  // with the same optional n/client/lane/outcome/metric parameters.
+  // with the same optional n/client/lane/outcome parameters.
   std::string HandleDebug(const Request& request) {
-    const JsonValue* what_value = request.body.Find("what");
-    std::string what =
-        what_value == nullptr ? "requests" : what_value->StringOr("requests");
-    std::vector<std::pair<std::string, std::string>> params;
-    for (const char* key : {"n", "client", "lane", "outcome", "metric"}) {
-      const JsonValue* v = request.body.Find(key);
-      if (v == nullptr) continue;
-      if (v->kind == JsonValue::Kind::kNumber) {
-        int64_t n = 0;
-        std::string err;
-        if (!IntegerField(*v, key, 0, kMaxExactInteger, &n, &err)) {
-          return ErrorResponse(request.id, err);
-        }
-        params.emplace_back(key, std::to_string(n));
-      } else {
-        params.emplace_back(key, v->StringOr(""));
-      }
-    }
     std::string body;
-    if (!HandleDebugQuery(what, params, &body)) {
-      return ErrorResponse(request.id, "unknown debug view \"" + what + "\"");
+    if (!HandleDebugQuery(request.debug_what, request.debug_params, &body)) {
+      return ErrorResponse(request.id,
+                           "unknown debug view \"" + request.debug_what + "\"");
     }
     std::ostringstream out;
     out << "{\"id\":" << request.id << ",\"ok\":true,\"what\":\""
-        << JsonEscape(what) << "\",\"result\":" << body << "}";
+        << JsonEscape(request.debug_what) << "\",\"result\":" << body << "}";
     return out.str();
   }
 
@@ -1130,18 +1181,13 @@ struct Server::Impl {
   }
 
   std::string HandlePersist(const Request& request) {
-    std::string path = options.cache_path;
-    if (const JsonValue* p = request.body.Find("path")) {
-      path = p->StringOr(path);
-    }
-    if (path.empty()) path = DefaultCachePath();
-    PersistStats stats = request.method == "persist"
-                             ? SaveCache(path, options.spec)
-                             : LoadCache(path, options.spec);
+    PersistStats stats = request.kind == Method::kPersist
+                             ? SaveCache(request.path, options.spec)
+                             : LoadCache(request.path, options.spec);
     if (!stats.ok) return ErrorResponse(request.id, stats.error);
     std::ostringstream out;
     out << "{\"id\":" << request.id << ",\"ok\":true,\"path\":\""
-        << JsonEscape(path) << "\",\"bytes\":" << stats.bytes
+        << JsonEscape(request.path) << "\",\"bytes\":" << stats.bytes
         << ",\"timings\":" << stats.timings
         << ",\"programs\":" << stats.programs
         << ",\"skeletons\":" << stats.skeletons
@@ -1150,70 +1196,38 @@ struct Server::Impl {
     return out.str();
   }
 
-  // Warm-restart tune: the store already holds a finished search for
-  // this exact op_key; answer from it in microseconds.
-  std::string HandleStoredTune(Request& request) {
-    schedule::GemmOp op;
-    std::string err;
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
-    }
-    request.op_key = op.name;
-    request.outcome = "stored";
-    std::optional<tuner::StoredTuning> stored =
-        tuner::TuningStore::Global().Get(tuner::OpKey(op));
-    if (!stored.has_value()) {
-      // Raced with a concurrent store clear; degrade to an error the
-      // client can retry with "force".
-      return ErrorResponse(request.id, "tuning no longer stored");
-    }
-    std::optional<tuner::StoredTrial> best = stored->Best();
+  // Warm-restart tune: routing found a finished search for this exact
+  // op_key in the store; answer from it in microseconds.
+  static std::string StoredTuneResponse(const Request& request) {
+    const tuner::StoredTuning& stored = *request.stored;
+    std::optional<tuner::StoredTrial> best = stored.Best();
     if (!best.has_value()) {
       return ErrorResponse(request.id, "stored tuning has no feasible trial");
     }
     std::ostringstream out;
     out.precision(17);
     out << "{\"id\":" << request.id << ",\"ok\":true,\"op_key\":\""
-        << JsonEscape(stored->op_key) << "\",\"source\":\"store\""
+        << JsonEscape(stored.op_key) << "\",\"source\":\"store\""
         << ",\"best_config\":\"" << JsonEscape(best->config.ToString())
         << "\",\"best_cycles\":" << best->cycles
-        << ",\"trials\":" << stored->trials.size() << "}";
+        << ",\"trials\":" << stored.trials.size() << "}";
     return out.str();
   }
 
-  // The one compile path of both lanes: probe the timing cache, compile
-  // and simulate through it on a miss. `profile` adds the PMU counters of
-  // one more replay of the (now cached) program.
-  std::string HandleCompile(Request& request, bool probe_only) {
-    schedule::GemmOp op;
-    schedule::ScheduleConfig config;
-    std::string err;
-    bool parsed = ParseCompileJson(request.body, &op, &config, &err);
-    request.op_key = op.name;
-    if (!parsed) return ErrorResponse(request.id, err);
-    request.outcome = "hit";
-    sim::KernelTiming timing;
-    if (!sim::ProbeCachedTiming(op, config, options.spec,
-                                schedule::InlineOrder::kAfterPipelining,
-                                &timing)) {
-      request.outcome = "compiled";
-      if (probe_only) {
-        // Routing raced an eviction; the slow path below is still correct,
-        // just slower than the lane promised.
-        request.outcome = "fallback";
-        ServingCounter("serving.fast_lane_fallback").Increment();
-      }
-      timing = sim::CachedCompileAndSimulate(op, config, options.spec);
-    }
+  // A compile or profile answer from its timing; `profile` adds the PMU
+  // counters of one more replay of the (now cached) program.
+  std::string TimingResponse(const Request& request,
+                             const sim::KernelTiming& timing) {
     std::ostringstream out;
     out.precision(17);
     out << "{\"id\":" << request.id << ",\"ok\":true,";
     AppendTimingJson(&out, timing);
-    if (request.method == "profile" && timing.feasible) {
+    if (request.kind == Method::kProfile && timing.feasible) {
       sim::KernelPmu pmu;
       sim::ReplayArena arena;
-      sim::ReplaySimProgram(*sim::CachedSimProgram(op, config, options.spec),
-                            &arena, &pmu);
+      sim::ReplaySimProgram(
+          *sim::CachedSimProgram(request.op, request.config, options.spec),
+          &arena, &pmu);
       out << ",\"pmu\":" << sim::PmuToJson(pmu);
     }
     out << "}";
@@ -1250,7 +1264,7 @@ struct Server::Impl {
       batches_counter->Increment();
       int64_t round_start_ns = obs::NowNanos();
       std::stable_partition(round.begin(), round.end(), [](const Request& r) {
-        return r.method == "compile" || r.method == "profile";
+        return r.kind != Method::kTune;
       });
       for (Request& request : round) {
         request.batch = batch_id;
@@ -1262,37 +1276,28 @@ struct Server::Impl {
     }
   }
 
+  // The slow lane holds compiles, profiles and tunes (see Route).
   std::string HandleSlow(Request& request) {
-    const std::string& m = request.method;
-    if (m == "compile" || m == "profile") {
-      return HandleCompile(request, /*probe_only=*/false);
-    }
-    if (m == "tune") {
+    if (request.kind == Method::kTune) {
       request.outcome = "search";
       return HandleTune(request);
     }
-    return ErrorResponse(request.id, "unknown method \"" + m + "\"");
+    // Probe again first: a compile ahead of this one may have warmed the
+    // timing, and then the answer is still a hit.
+    sim::KernelTiming timing;
+    request.outcome = "hit";
+    if (!sim::ProbeCachedTiming(request.op, request.config, options.spec,
+                                schedule::InlineOrder::kAfterPipelining,
+                                &timing)) {
+      request.outcome = "compiled";
+      timing =
+          sim::CachedCompileAndSimulate(request.op, request.config, options.spec);
+    }
+    return TimingResponse(request, timing);
   }
 
-  std::string HandleTune(Request& request) {
-    schedule::GemmOp op;
-    std::string err;
-    if (!ParseOpJson(request.body, &op, &err)) {
-      return ErrorResponse(request.id, err);
-    }
-    request.op_key = op.name;
-    size_t trials = options.default_trials;
-    if (const JsonValue* t = request.body.Find("trials")) {
-      int64_t parsed = 0;
-      if (!IntegerField(*t, "trials", 1, kMaxRequestCount, &parsed, &err)) {
-        return ErrorResponse(request.id, err);
-      }
-      trials = static_cast<size_t>(parsed);
-    }
-    bool warm = options.warm_start;
-    if (const JsonValue* w = request.body.Find("warm")) {
-      warm = w->BoolOr(warm);
-    }
+  std::string HandleTune(const Request& request) {
+    const schedule::GemmOp& op = request.op;
     tuner::TuningTask task =
         tuner::MakeSimulatorTask(op, options.spec, options.space);
     if (task.space.empty()) {
@@ -1302,14 +1307,14 @@ struct Server::Impl {
     xgb.pretrain_with_analytical = true;
     xgb.seed = options.seed;
     tuner::WarmStart warm_start;
-    if (warm) {
+    if (request.warm) {
       warm_start = tuner::FindWarmStart(task, tuner::TuningStore::Global());
       xgb.warm_seeds = warm_start.seeds;
       if (!warm_start.seeds.empty()) {
         ServingCounter("serving.warm_starts").Increment();
       }
     }
-    tuner::TuningResult result = tuner::XgbTuner(task, trials, xgb);
+    tuner::TuningResult result = tuner::XgbTuner(task, request.trials, xgb);
     tuner::StoreTuning(task, result, tuner::TuningStore::Global());
     size_t best = result.BestIndex(task);
     if (best >= task.space.size()) {
@@ -1371,9 +1376,6 @@ struct Server::Impl {
     http_bad_counter = &registry.GetCounter(
         "serving.http.bad_requests",
         "HTTP requests rejected with 400 (malformed or over limits).");
-    registry.GetCounter(
-        "serving.fast_lane_fallback",
-        "Fast-lane compiles whose probe raced an eviction and compiled.");
     registry.GetCounter("serving.warm_starts",
                         "Tune searches seeded from a stored neighbor.");
     watchdog_counter = &registry.GetCounter(
@@ -1538,10 +1540,6 @@ bool Server::Start(std::string* error) {
   if (impl.options.flight_depth > 0) {
     impl.flight =
         std::make_unique<obs::FlightRecorder>(impl.options.flight_depth);
-  }
-  if (impl.options.snapshot_depth > 0 && impl.options.snapshot_interval_ms > 0) {
-    impl.timeseries =
-        std::make_unique<obs::MetricsTimeSeries>(impl.options.snapshot_depth);
   }
   // /debug/trace drains the span rings, so spans must be recorded while
   // the daemon runs; the previous switch state is restored at Stop.

@@ -3,26 +3,31 @@
 // One process owns the warm state — the two-layer sim cache, the interned
 // skeleton pool, the TuningStore, and the persisted on-disk cache — and
 // many clients share it over a unix-domain socket speaking the
-// length-prefixed JSON protocol (serving/protocol.h). Request handling is
-// split into two lanes so a multi-second cold tune can never sit in front
-// of a microsecond cache hit:
+// length-prefixed JSON protocol (serving/protocol.h). The IO thread
+// parses each request once into a typed request (method, op, config,
+// tune and debug fields) and refuses an unknown method or a malformed
+// field on the spot. It then routes the request to one of two lanes, so
+// a multi-second cold tune can never sit in front of a microsecond
+// cache hit:
 //
-//   fast lane: ping/stats/persist/load/shutdown, compile requests whose
-//     timing is already cached (ProbeCachedTiming routes them without
-//     compiling), and tune requests whose exact op_key is in the
-//     TuningStore (the warm-restart path: the stored best is returned
-//     directly). Hot-shape p99 is bounded by scheduling delay, not by
-//     whatever the slow lane is chewing on.
+//   fast lane: ping/stats/debug/persist/load/shutdown, compile requests
+//     whose timing routing found in the cache (ProbeCachedTiming, a
+//     lookup, never a compile), and tune requests whose exact op_key
+//     routing found in the TuningStore (the warm-restart path). The
+//     request carries that timing or stored search to the lane, which
+//     only formats the answer. Hot-shape p99 is bounded by scheduling
+//     delay, not by whatever the slow lane is chewing on.
 //
 //   slow lane: everything that must compile or search. The worker drains
 //     the whole queue each round and answers compiles and profiles
 //     before tunes, each as soon as its own work finishes. A compile
-//     takes the same path as a fast-lane compile whose probe missed
-//     (CachedCompileAndSimulate, which warms the timing cache so the
-//     next identical request is a fast-lane hit); a profile adds one PMU
-//     replay of the cached program. Cold tunes run the XgbTuner
-//     (analytical pretrain + warm_seeds from the nearest stored shape via
-//     tuner/transfer.h) and store their result for the next neighbor.
+//     probes the cache again (the compile ahead of it may have warmed
+//     it) and otherwise runs CachedCompileAndSimulate, which warms the
+//     timing cache so the next identical request is a fast-lane hit; a
+//     profile adds one PMU replay of the cached program. Cold tunes run
+//     the XgbTuner (analytical pretrain + warm_seeds from the nearest
+//     stored shape via tuner/transfer.h) and store their result for the
+//     next neighbor.
 //
 // Observability (per-request, not just global counters): every request
 // gets a monotonic id at dispatch, queue-wait and lane spans in the
@@ -31,7 +36,8 @@
 // components that sum to the total), a serving.inflight gauge, and an
 // optional JSONL access log. An optional HTTP front end on the same IO
 // thread exposes GET /metrics (Prometheus text exposition), GET
-// /healthz, and POST /v1/<method> sharing the socket dispatch path.
+// /healthz, GET /debug/{requests,trace,log}, and POST /v1/<method>
+// sharing the socket dispatch path.
 //
 // Startup loads the persisted cache if one matches this spec; shutdown
 // saves it — so the daemon's lifetime, not the process's, is the unit of
@@ -73,19 +79,14 @@ struct ServerOptions {
   // queue/service/total micros). Empty = no access log.
   std::string access_log_path;
   // Flight recorder: ring of the last N completed request records,
-  // served by GET /debug/requests and the socket `debug` method. 0
-  // disables retention.
+  // served by GET /debug/requests and the socket `debug` method (the
+  // registry itself is served by GET /metrics). 0 disables retention.
   size_t flight_depth = 512;
-  // Periodic registry snapshots for GET /debug/timeseries: every
-  // `snapshot_interval_ms` the IO thread samples the registry into a
-  // ring of `snapshot_depth` flattened snapshots. interval <= 0 or
-  // depth 0 disables sampling.
-  size_t snapshot_depth = 120;
-  int snapshot_interval_ms = 1000;
   // Watchdog: when the oldest queued request in a lane has waited more
   // than this, emit a one-shot diagnostic dump (flight tail + metrics)
   // to the structured log and bump serving.watchdog.stalls. Re-arms
-  // when the lane drains. <= 0 disables the watchdog.
+  // when the lane drains. The IO thread's poll wakes every quarter of
+  // this (clamped to [1ms, 1s]) to check. <= 0 disables the watchdog.
   int watchdog_stall_ms = 10000;
   // Per-client attribution: peer uid on the unix socket, X-Alcop-Client
   // header (or a "client" body field) on HTTP, else "anon". At most

@@ -38,7 +38,6 @@
 #define ALCOP_SIM_DESIM_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -181,19 +180,6 @@ struct ReplayArena {
   std::vector<double> pmu_f64;
   std::vector<int64_t> pmu_i64;
   std::vector<int32_t> pmu_depth;
-
-  // Layout-reuse tag: the static addressing tables above (inst_*,
-  // stream_inst/stream_rel) depend only on (skeleton, threadblocks), so a
-  // replay whose program shares the previous program's skeleton at the
-  // same wave size skips refilling them, so a pass over configs that
-  // share skeletons (a tuning sweep, consecutive cache misses of one
-  // operator) pays the layout walk once per run of equal skeletons
-  // instead of once per config. The shared_ptr keeps the tagged
-  // skeleton alive so the pointer identity test can never alias a freed
-  // skeleton. Dynamic state (counters, slots, heap, pool) is still reset
-  // every replay.
-  std::shared_ptr<const MicroOpSkeleton> layout_skeleton;
-  int layout_threadblocks = 0;
 
   // Total reserved heap memory; constant across warm replays.
   size_t CapacityBytes() const;

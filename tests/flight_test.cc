@@ -1,6 +1,6 @@
 // Tests of the flight-recorder/debug-surface stack (src/obs/flight.h,
 // src/obs/log.h and the alcopd wiring in serving/server.cc): the request
-// ring and metrics time series, the structured logger, per-client
+// ring and registry flattening, the structured logger, per-client
 // attribution with its top-K cardinality cap, the /debug HTTP surface,
 // watchdog stall detection, and the access-log/flight-recorder agreement
 // gate — every completed request must render byte-identical JSON in both
@@ -136,7 +136,7 @@ obs::MetricSnapshot CounterSnap(const std::string& name, double value) {
   return snap;
 }
 
-TEST(MetricsTimeSeriesTest, FlattenExpandsHistogramsAndSorts) {
+TEST(FlattenSnapshotTest, ExpandsHistogramsAndSorts) {
   obs::MetricSnapshot hist;
   hist.kind = obs::MetricSnapshot::Kind::kHistogram;
   hist.name = "t.lat.us";
@@ -152,26 +152,6 @@ TEST(MetricsTimeSeriesTest, FlattenExpandsHistogramsAndSorts) {
   EXPECT_EQ(flat[2].first, "t.lat.us.sum");
   EXPECT_EQ(flat[2].second, 12.5);
   EXPECT_EQ(flat[3].first, "t.z");
-}
-
-TEST(MetricsTimeSeriesTest, RingWrapsAndSeriesIsOldestFirst) {
-  obs::MetricsTimeSeries series(3);
-  for (int64_t t = 1; t <= 5; ++t) {
-    series.Sample(t, {CounterSnap("t.req", static_cast<double>(t) * 10)});
-  }
-  EXPECT_EQ(series.samples(), 3u);  // wrapped to the last 3
-  std::vector<obs::MetricsTimeSeries::Point> points = series.Series("t.req");
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[0].t_ns, 3);  // oldest retained first
-  EXPECT_EQ(points[0].value, 30.0);
-  EXPECT_EQ(points[2].t_ns, 5);
-  EXPECT_EQ(points[2].value, 50.0);
-  EXPECT_TRUE(series.Series("t.missing").empty());
-  std::vector<std::string> names = series.Names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "t.req");
-  series.Clear();
-  EXPECT_EQ(series.samples(), 0u);
 }
 
 // ------------------------------------------------------ structured logging
@@ -275,8 +255,6 @@ class FlightServerTest : public ::testing::Test {
     options_.cache_path = "";
     options_.persist_on_shutdown = false;
     options_.flight_depth = 256;
-    options_.snapshot_interval_ms = 10;
-    options_.snapshot_depth = 64;
     options_.watchdog_stall_ms = 0;  // individual tests opt in
   }
 
@@ -338,34 +316,6 @@ TEST_F(FlightServerTest, DebugEndpointsServeTheirSchemas) {
   for (const JsonValue& rec : doc->Find("requests")->array) {
     EXPECT_EQ(rec.Find("client")->StringOr(""), "dbg_zeta");
   }
-
-  // /debug/timeseries: names listing, then points for one metric. The
-  // 10ms snapshot interval needs a beat to accumulate samples.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  std::optional<serving::HttpResponse> names =
-      serving::HttpCall(port, "GET", "/debug/timeseries");
-  ASSERT_TRUE(names.has_value());
-  EXPECT_EQ(names->status, 200);
-  doc = ParseJson(names->body);
-  ASSERT_TRUE(doc.has_value()) << names->body;
-  EXPECT_GE(doc->Find("samples")->NumberOr(0), 1.0);
-  bool saw_requests_metric = false;
-  for (const JsonValue& name : doc->Find("metrics")->array) {
-    if (name.StringOr("") == "serving.requests") saw_requests_metric = true;
-  }
-  EXPECT_TRUE(saw_requests_metric);
-  std::optional<serving::HttpResponse> points = serving::HttpCall(
-      port, "GET", "/debug/timeseries?metric=serving.requests");
-  ASSERT_TRUE(points.has_value());
-  doc = ParseJson(points->body);
-  ASSERT_TRUE(doc.has_value()) << points->body;
-  EXPECT_EQ(doc->Find("metric")->StringOr(""), "serving.requests");
-  const JsonValue* series = doc->Find("points");
-  ASSERT_NE(series, nullptr);
-  ASSERT_GE(series->array.size(), 1u);
-  EXPECT_GT(series->array[0].Find("t_ns")->NumberOr(0), 0.0);
-  EXPECT_GE(series->array.back().Find("value")->NumberOr(-1),
-            series->array[0].Find("value")->NumberOr(-1));
 
   // /debug/log: the daemon's own "started" line is retained.
   std::optional<serving::HttpResponse> log =

@@ -1,7 +1,7 @@
 // Structure-sharing skeleton layer: the intern pool must deduplicate the
-// structural half of compiled programs across a schedule space, the
-// arena's layout-reuse tag must never leak state between programs (every
-// replay bit-identical to a fresh-arena replay, in any interleaving).
+// structural half of compiled programs across a schedule space, and a
+// reused arena must never leak state between programs (every replay
+// bit-identical to a fresh-arena replay, in any interleaving).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -120,8 +120,8 @@ TEST(SkeletonReplay, LayoutReuseBitExactUnderInterleaving) {
   }
 
   // One shared arena, adversarial interleaving: forward, backward, and
-  // alternating ends — every transition exercises the layout-reuse tag
-  // (same skeleton back-to-back reuses tables; any change refills them).
+  // alternating ends — every transition replays into tables the previous
+  // program left behind (same skeleton back-to-back, or a different one).
   sim::ReplayArena shared;
   std::vector<size_t> order;
   for (size_t i = 0; i < programs.size(); ++i) order.push_back(i);
