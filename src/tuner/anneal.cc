@@ -1,58 +1,80 @@
 #include "tuner/anneal.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
-
-#include "support/parallel.h"
+#include <string_view>
+#include <unordered_map>
 
 namespace alcop {
 namespace tuner {
 
+namespace {
+
+// The ten knobs the walk mutates, one at a time.
+constexpr size_t kNumKnobs = 10;
+using Knobs = std::array<int64_t, kNumKnobs>;
+
+Knobs KnobsOf(const schedule::ScheduleConfig& c) {
+  return {c.tile.tb_m,   c.tile.tb_n,   c.tile.tb_k,    c.tile.warp_m,
+          c.tile.warp_n, c.tile.warp_k, c.smem_stages,  c.reg_stages,
+          c.split_k,     c.raster_block};
+}
+
+struct KnobsHash {
+  size_t operator()(const Knobs& knobs) const {
+    return std::hash<std::string_view>()(std::string_view(
+        reinterpret_cast<const char*>(knobs.data()), sizeof(Knobs)));
+  }
+};
+
+}  // namespace
+
 bool AreNeighbors(const schedule::ScheduleConfig& a,
                   const schedule::ScheduleConfig& b) {
+  Knobs ka = KnobsOf(a), kb = KnobsOf(b);
   int diffs = 0;
-  diffs += a.tile.tb_m != b.tile.tb_m;
-  diffs += a.tile.tb_n != b.tile.tb_n;
-  diffs += a.tile.tb_k != b.tile.tb_k;
-  diffs += a.tile.warp_m != b.tile.warp_m;
-  diffs += a.tile.warp_n != b.tile.warp_n;
-  diffs += a.tile.warp_k != b.tile.warp_k;
-  diffs += a.smem_stages != b.smem_stages;
-  diffs += a.reg_stages != b.reg_stages;
-  diffs += a.split_k != b.split_k;
-  diffs += a.raster_block != b.raster_block;
+  for (size_t k = 0; k < kNumKnobs; ++k) diffs += ka[k] != kb[k];
   return diffs == 1;
 }
 
 std::vector<std::vector<size_t>> BuildNeighborLists(
     const std::vector<schedule::ScheduleConfig>& space) {
+  std::vector<Knobs> knobs(space.size());
+  for (size_t i = 0; i < space.size(); ++i) knobs[i] = KnobsOf(space[i]);
+  // Neighbors through knob k agree on the other nine: group the space by
+  // those nine, and every pair in a group that differs in knob k is one.
   std::vector<std::vector<size_t>> neighbors(space.size());
-  support::ParallelFor(space.size(), [&](size_t i) {
-    for (size_t j = 0; j < space.size(); ++j) {
-      if (j != i && AreNeighbors(space[i], space[j])) {
-        neighbors[i].push_back(j);
+  for (size_t k = 0; k < kNumKnobs; ++k) {
+    std::unordered_map<Knobs, std::vector<size_t>, KnobsHash> groups;
+    for (size_t i = 0; i < space.size(); ++i) {
+      Knobs others = knobs[i];
+      others[k] = 0;
+      groups[others].push_back(i);
+    }
+    for (const auto& [others, members] : groups) {
+      for (size_t a : members) {
+        for (size_t b : members) {
+          if (knobs[a][k] != knobs[b][k]) neighbors[a].push_back(b);
+        }
       }
     }
-  });
+  }
+  for (std::vector<size_t>& list : neighbors) {
+    std::sort(list.begin(), list.end());
+  }
   return neighbors;
 }
 
 std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
+    const std::vector<std::vector<size_t>>& neighbors,
     const std::function<double(size_t)>& score,
     const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const AnnealOptions& options,
-    const std::vector<std::vector<size_t>>* precomputed_neighbors) {
+    const AnnealOptions& options) {
   if (space.empty() || batch == 0) return {};
-
-  std::vector<std::vector<size_t>> local_neighbors;
-  if (precomputed_neighbors == nullptr) {
-    local_neighbors = BuildNeighborLists(space);
-  }
-  const std::vector<std::vector<size_t>>& neighbors =
-      precomputed_neighbors != nullptr ? *precomputed_neighbors
-                                       : local_neighbors;
 
   // Best-scored unvisited candidates found by the walk.
   std::map<double, size_t, std::greater<>> best;  // score -> index

@@ -22,24 +22,22 @@ struct AnnealOptions {
   int restarts = 4;
 };
 
-// Single-knob adjacency lists for the whole space, each sorted ascending.
-// Built concurrently on the global pool (row i is owned by iteration i),
-// so the result is identical for any thread count. Callers that propose
-// repeatedly over the same space (XgbTuner's per-batch loop) build this
-// once instead of paying the O(space^2) scan every round.
+// Single-knob adjacency lists for the whole space, each sorted ascending:
+// the pairs AreNeighbors accepts, found with one hash pass per knob over
+// the other nine. Callers that propose repeatedly over the same space
+// (XgbTuner's per-batch loop) build this once.
 std::vector<std::vector<size_t>> BuildNeighborLists(
     const std::vector<schedule::ScheduleConfig>& space);
 
 // Proposes up to `batch` distinct indices into `space`, maximizing
 // `score(index)` (higher is better), skipping indices in `exclude`.
-// `neighbors`, when non-null, must be BuildNeighborLists(space); when
-// null the lists are built internally (same walk either way).
+// `neighbors` must be BuildNeighborLists(space).
 std::vector<size_t> ProposeBatch(
     const std::vector<schedule::ScheduleConfig>& space,
+    const std::vector<std::vector<size_t>>& neighbors,
     const std::function<double(size_t)>& score,
     const std::unordered_set<size_t>& exclude, size_t batch, Rng& rng,
-    const AnnealOptions& options = {},
-    const std::vector<std::vector<size_t>>* neighbors = nullptr);
+    const AnnealOptions& options = {});
 
 // Neighbor relation used by the walk: configs differing in exactly one
 // knob (one tile dimension, one warp split, or one stage count). Exposed

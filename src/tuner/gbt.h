@@ -1,7 +1,8 @@
 // Gradient-boosted regression trees: the from-scratch stand-in for
 // XGBoost (see DESIGN.md substitution table). Squared-error boosting with
-// exact greedy splits — entirely sufficient for the few-hundred-sample
-// datasets schedule tuning produces.
+// exact greedy splits, grown level by level over columns presorted once
+// per Fit; serial, and bit-identical to the recursive per-node builder it
+// replaced (same scan order, sums, tie rule, thresholds and leaves).
 #ifndef ALCOP_TUNER_GBT_H_
 #define ALCOP_TUNER_GBT_H_
 

@@ -204,13 +204,17 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
 
   GbtModel model;
   std::unordered_set<size_t> measured_set;
-  // Annealing adjacency, built once (in parallel) on the first
-  // model-guided round instead of every round.
+  // Annealing adjacency, built once on the first model-guided round
+  // instead of every round.
   std::vector<std::vector<size_t>> neighbors;
 
   // Proposal and refitting stay on the caller thread (the single Rng and
   // the model are not shared with the pool); only candidate measurement
   // and batch prediction fan out, so trial order is thread-count invariant.
+  // The model is fit lazily, at the start of a round that proposes from
+  // it, so no fit is spent on a model nothing reads (the pretrain-only fit
+  // a warm-seed fit would replace, the fit after the last round).
+  size_t fitted_trials = 0;
   auto refit = [&](int round_number) {
     ALCOP_TRACE_SCOPE("refit", "tuner");
     static obs::Counter& refits = obs::Registry::Global().GetCounter(
@@ -237,7 +241,8 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       y.push_back(ScoreOf(result.measured[i]));
       w.push_back(1.0);
     }
-    if (!x.empty()) model.Fit(x, y, w);
+    model.Fit(x, y, w);
+    fitted_trials = result.trials.size();
     if (options.logger) {
       TrialEvent event;
       event.kind = TrialEvent::Kind::kRefit;
@@ -247,7 +252,7 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       // Pairwise rank accuracy of the freshly fit model over everything
       // measured so far: of the pairs the measurements order, how many
       // does the model order the same way.
-      if (result.trials.size() >= 2 && model.IsFitted()) {
+      if (result.trials.size() >= 2) {
         std::vector<std::vector<double>> measured_x;
         measured_x.reserve(result.trials.size());
         for (size_t index : result.trials) {
@@ -275,57 +280,59 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
     }
   };
 
-  if (options.pretrain_with_analytical) refit(-1);  // prior knowledge only
-
-  // Warm-start seeds: measured as one batch before the first proposal
-  // round. They consume trial budget like any other batch, and the refit
-  // below means the main loop starts model-guided instead of from the
-  // cold-start random round.
-  if (!options.warm_seeds.empty()) {
-    std::vector<size_t> seeds;
-    for (size_t index : options.warm_seeds) {
-      if (index >= task.space.size()) continue;
-      if (measured_set.count(index) != 0) continue;
-      if (seeds.size() >= max_trials) break;
-      if (std::find(seeds.begin(), seeds.end(), index) != seeds.end()) {
-        continue;
+  // Logs, measures (in parallel) and records one batch of candidates.
+  // `predicted` holds whole-space model scores, empty when the batch was
+  // not proposed from the model.
+  auto measure_batch = [&](int round_number, const std::vector<size_t>& batch,
+                           const std::vector<double>& predicted) {
+    if (options.logger) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        TrialEvent event;
+        event.kind = TrialEvent::Kind::kProposed;
+        event.round = round_number;
+        event.trial = result.trials.size() + i;
+        event.space_index = batch[i];
+        event.config = task.space[batch[i]].ToString();
+        event.predicted_score = predicted.empty()
+                                    ? std::numeric_limits<double>::quiet_NaN()
+                                    : predicted[batch[i]];
+        event.analytical_cycles =
+            perfmodel::PredictCycles(task.op, task.space[batch[i]], task.spec);
+        options.logger(event);
       }
-      seeds.push_back(index);
     }
-    if (!seeds.empty()) {
+    std::vector<double> cycles =
+        support::ParallelMap(batch.size(), [&](size_t i) {
+          return task.measure(task.space[batch[i]]);
+        });
+    for (size_t i = 0; i < batch.size(); ++i) {
       if (options.logger) {
-        for (size_t i = 0; i < seeds.size(); ++i) {
-          TrialEvent event;
-          event.kind = TrialEvent::Kind::kProposed;
-          event.round = -1;
-          event.trial = result.trials.size() + i;
-          event.space_index = seeds[i];
-          event.config = task.space[seeds[i]].ToString();
-          event.predicted_score = std::numeric_limits<double>::quiet_NaN();
-          event.analytical_cycles =
-              perfmodel::PredictCycles(task.op, task.space[seeds[i]], task.spec);
-          options.logger(event);
-        }
+        TrialEvent event;
+        event.kind = TrialEvent::Kind::kMeasured;
+        event.round = round_number;
+        event.trial = result.trials.size();
+        event.space_index = batch[i];
+        event.measured_cycles = cycles[i];
+        options.logger(event);
       }
-      std::vector<double> seed_cycles = support::ParallelMap(
-          seeds.size(), [&](size_t i) { return task.measure(task.space[seeds[i]]); });
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        if (options.logger) {
-          TrialEvent event;
-          event.kind = TrialEvent::Kind::kMeasured;
-          event.round = -1;
-          event.trial = result.trials.size();
-          event.space_index = seeds[i];
-          event.measured_cycles = seed_cycles[i];
-          options.logger(event);
-        }
-        result.trials.push_back(seeds[i]);
-        result.measured.push_back(seed_cycles[i]);
-        measured_set.insert(seeds[i]);
-      }
-      refit(-1);
+      result.trials.push_back(batch[i]);
+      result.measured.push_back(cycles[i]);
+      measured_set.insert(batch[i]);
     }
+  };
+
+  // Warm-start seeds: measured as one batch (round -1) before the first
+  // proposal round. They consume trial budget like any other batch, and
+  // give the first round a model to propose from instead of the
+  // cold-start random round.
+  std::vector<size_t> seeds;
+  for (size_t index : options.warm_seeds) {
+    if (index >= task.space.size()) continue;
+    if (seeds.size() >= max_trials) break;
+    if (std::find(seeds.begin(), seeds.end(), index) != seeds.end()) continue;
+    seeds.push_back(index);
   }
+  measure_batch(-1, seeds, {});
 
   static obs::Counter& rounds = obs::Registry::Global().GetCounter(
       "tuner.rounds", "Search rounds executed by the XGB tuner.");
@@ -340,6 +347,12 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
         std::min(options.batch_size, max_trials - result.trials.size());
     std::vector<size_t> proposals;
     std::vector<double> predicted;  // whole-space scores; empty cold start
+    bool has_training_data =
+        options.pretrain_with_analytical || !result.trials.empty();
+    if (has_training_data &&
+        (!model.IsFitted() || fitted_trials < result.trials.size())) {
+      refit(round);
+    }
     if (!model.IsFitted()) {
       // Cold start: random batch, deduplicated in O(1) per draw.
       std::unordered_set<size_t> proposed;
@@ -357,45 +370,12 @@ TuningResult XgbTuner(const TuningTask& task, size_t max_trials,
       if (neighbors.empty()) neighbors = BuildNeighborLists(task.space);
       predicted = model.PredictBatch(features);
       auto score = [&](size_t index) { return predicted[index]; };
-      proposals = ProposeBatch(task.space, score, measured_set, batch, rng,
-                               {}, &neighbors);
+      proposals =
+          ProposeBatch(task.space, neighbors, score, measured_set, batch, rng);
     }
     if (proposals.empty()) break;
-    if (options.logger) {
-      for (size_t i = 0; i < proposals.size(); ++i) {
-        TrialEvent event;
-        event.kind = TrialEvent::Kind::kProposed;
-        event.round = round;
-        event.trial = result.trials.size() + i;
-        event.space_index = proposals[i];
-        event.config = task.space[proposals[i]].ToString();
-        event.predicted_score =
-            predicted.empty() ? std::numeric_limits<double>::quiet_NaN()
-                              : predicted[proposals[i]];
-        event.analytical_cycles = perfmodel::PredictCycles(
-            task.op, task.space[proposals[i]], task.spec);
-        options.logger(event);
-      }
-    }
-    std::vector<double> cycles = support::ParallelMap(
-        proposals.size(),
-        [&](size_t i) { return task.measure(task.space[proposals[i]]); });
+    measure_batch(round, proposals, predicted);
     trials.Add(proposals.size());
-    for (size_t i = 0; i < proposals.size(); ++i) {
-      if (options.logger) {
-        TrialEvent event;
-        event.kind = TrialEvent::Kind::kMeasured;
-        event.round = round;
-        event.trial = result.trials.size();
-        event.space_index = proposals[i];
-        event.measured_cycles = cycles[i];
-        options.logger(event);
-      }
-      result.trials.push_back(proposals[i]);
-      result.measured.push_back(cycles[i]);
-      measured_set.insert(proposals[i]);
-    }
-    refit(round);
     ++round;
   }
   return result;

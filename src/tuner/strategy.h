@@ -69,15 +69,16 @@ TuningResult BottleneckRanking(const TuningTask& task, size_t max_trials);
 // One event of the XGB search loop, for the JSONL telemetry log behind
 // `alcop_cli tune --log`. Events are emitted synchronously from the
 // caller thread (never from the measurement pool), in a deterministic
-// order: per round, one kProposed per candidate, one kMeasured per
-// candidate, then one kRefit. The search itself is unaffected by
-// logging — trials and measured values stay bit-identical with the
-// logger unset.
+// order: the warm-seed batch (round -1), then per round one kRefit when
+// the round proposes from a model never fit or not yet fit on the latest
+// measurements, one kProposed and one kMeasured per candidate. No kRefit
+// follows the final round. The search itself is unaffected by logging —
+// trials and measured values stay bit-identical with the logger unset.
 struct TrialEvent {
   enum class Kind { kProposed, kMeasured, kRefit };
   Kind kind = Kind::kProposed;
-  // Model-guided round counter; -1 for the analytical pretrain refit
-  // that precedes the first round.
+  // Search round counter; -1 for the warm-seed batch that precedes the
+  // first round. A kRefit carries the round it opens.
   int round = 0;
   size_t trial = 0;        // index into TuningResult.trials
   size_t space_index = 0;  // the candidate's index in task.space
@@ -105,13 +106,13 @@ struct XgbOptions {
   // Search telemetry sink (see TrialEvent); unset = no logging cost.
   std::function<void(const TrialEvent&)> logger;
   // Warm-start transfer (tuner/transfer.h): space indices measured as the
-  // first batch, before any proposal round, and folded into the refit —
-  // so a warm model replaces the cold-start random round. Purely
+  // first batch, before any proposal round, and folded into the first
+  // fit — so a warm model replaces the cold-start random round. Purely
   // additive: with no seeds the search is bit-identical to a cold run
   // (the Rng is never consumed by seeding), and because seeds are real
   // measurements in the same TuningResult, best-found can only improve.
   // Out-of-range and duplicate indices are ignored. Logged with
-  // round = -1 (like the analytical pretrain, they precede round 0).
+  // round = -1 (they precede round 0).
   std::vector<size_t> warm_seeds;
 };
 

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "analysis/resources.h"
+#include "obs/metrics.h"
 #include "schedule/tensor.h"
 #include "sim/sim_cache.h"
 #include "support/check.h"
@@ -19,6 +22,8 @@
 #include "tuner/gbt.h"
 #include "tuner/space.h"
 #include "tuner/strategy.h"
+#include "tuner/transfer.h"
+#include "workloads/ops.h"
 
 namespace alcop {
 namespace {
@@ -26,6 +31,21 @@ namespace {
 using schedule::GemmOp;
 using schedule::MakeMatmul;
 using schedule::ScheduleConfig;
+
+// FNV-1a over the bit patterns of `values`: a compact pin of a vector of
+// doubles that changes with any bit of any value (barring collisions).
+uint64_t Fingerprint(const std::vector<double>& values,
+                     uint64_t hash = 14695981039346656037ull) {
+  for (double value : values) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
 
 // ---- Space ----
 
@@ -147,6 +167,39 @@ TEST(GbtTest, EmptyFitThrows) {
   EXPECT_THROW(model.Fit({}, {}), CheckError);
 }
 
+// Golden pin of the fitted ensemble, recorded before the level-wise
+// builder replaced the recursive one: ~1,000 weighted rows whose features
+// take few distinct values (long runs of equal values, where splits may
+// not fall) plus a duplicated column (exactly tied gains, broken toward
+// the lower feature index). Predictions must match bit for bit.
+TEST(GbtTest, FitMatchesGolden) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  std::vector<double> w;
+  Rng rng(17);
+  for (int i = 0; i < 1000; ++i) {
+    double a = static_cast<double>(rng.UniformInt(0, 3));
+    double b = 0.5 * static_cast<double>(rng.UniformInt(0, 7));
+    double c = rng.Uniform(0, 1);
+    double d = static_cast<double>(rng.UniformInt(1, 2));
+    x.push_back({a, b, a, c, d, 1.0});
+    y.push_back(1.5 * a - b + (d > 1 ? 2.0 : 0.0) + rng.Uniform(-0.1, 0.1));
+    w.push_back(i % 3 == 0 ? 1.0 : 0.25);
+  }
+  tuner::GbtModel shallow;
+  shallow.Fit(x, y, w);
+  tuner::GbtParams deep_params;
+  deep_params.num_trees = 30;
+  deep_params.max_depth = 7;
+  deep_params.min_samples_leaf = 5;
+  tuner::GbtModel deep(deep_params);
+  deep.Fit(x, y, w);
+  uint64_t shallow_print = Fingerprint(shallow.PredictBatch(x));
+  uint64_t deep_print = Fingerprint(deep.PredictBatch(x));
+  EXPECT_EQ(shallow_print, 0x8444c40876da6458ull) << std::hex << shallow_print;
+  EXPECT_EQ(deep_print, 0x554be9bdb8fd5b8dull) << std::hex << deep_print;
+}
+
 // ---- Annealing ----
 
 TEST(AnnealTest, NeighborRelationIsSingleKnob) {
@@ -159,6 +212,28 @@ TEST(AnnealTest, NeighborRelationIsSingleKnob) {
   EXPECT_FALSE(tuner::AreNeighbors(a, b));  // two knobs differ
 }
 
+// The grouped neighbor-list build must find exactly the pairs the
+// pairwise AreNeighbors scan finds, in ascending order, on every Fig. 10
+// space (and with split-K enabled, which adds a tenth varying knob).
+TEST(AnnealTest, NeighborListsMatchPairwiseScan) {
+  for (const tuner::SpaceOptions& options :
+       {tuner::SpaceOptions(), tuner::SpaceOptions::WithSplitK()}) {
+    for (const GemmOp& op : workloads::BenchmarkOps()) {
+      std::vector<ScheduleConfig> space = tuner::EnumerateSpace(op, options);
+      std::vector<std::vector<size_t>> lists =
+          tuner::BuildNeighborLists(space);
+      ASSERT_EQ(lists.size(), space.size());
+      for (size_t i = 0; i < space.size(); ++i) {
+        std::vector<size_t> expected;
+        for (size_t j = 0; j < space.size(); ++j) {
+          if (tuner::AreNeighbors(space[i], space[j])) expected.push_back(j);
+        }
+        ASSERT_EQ(lists[i], expected) << op.name << " config " << i;
+      }
+    }
+  }
+}
+
 TEST(AnnealTest, FindsHighScoringConfigs) {
   GemmOp op = MakeMatmul("mm", 512, 512, 512);
   std::vector<ScheduleConfig> space = tuner::EnumerateSpace(op);
@@ -167,7 +242,8 @@ TEST(AnnealTest, FindsHighScoringConfigs) {
     return static_cast<double>(space[i].smem_stages * space[i].tile.tb_m);
   };
   Rng rng(1);
-  std::vector<size_t> batch = tuner::ProposeBatch(space, score, {}, 5, rng);
+  std::vector<size_t> batch = tuner::ProposeBatch(
+      space, tuner::BuildNeighborLists(space), score, {}, 5, rng);
   ASSERT_EQ(batch.size(), 5u);
   double best_possible = 0.0;
   for (size_t i = 0; i < space.size(); ++i) {
@@ -184,7 +260,8 @@ TEST(AnnealTest, ExcludesMeasuredConfigs) {
   auto score = [](size_t) { return 1.0; };
   Rng rng(2);
   std::vector<size_t> batch =
-      tuner::ProposeBatch(space, score, exclude, 10, rng);
+      tuner::ProposeBatch(space, tuner::BuildNeighborLists(space), score,
+                          exclude, 10, rng);
   for (size_t index : batch) {
     EXPECT_EQ(exclude.count(index), 0u);
   }
@@ -347,6 +424,127 @@ TEST(GbtTest, FitIsThreadCountInvariant) {
   std::vector<double> parallel_pred = parallel.PredictBatch(x);
   EXPECT_EQ(serial_pred, parallel_pred);
   support::SetGlobalThreads(support::ThreadsFromEnv());
+}
+
+// The search log's contract: logging never changes the search; a
+// model-guided round fits the model once, before its first proposal, on
+// measurements it has not been fit on; nothing is fit after the final
+// round; and the tuner.refits counter counts exactly the logged fits.
+TEST(StrategyTest, TelemetryRefitsOnlyBeforeModelGuidedRounds) {
+  tuner::TuningTask task = SyntheticTask();
+  obs::Counter& refit_counter =
+      obs::Registry::Global().GetCounter("tuner.refits");
+  struct Case {
+    bool pretrain;
+    bool warm;
+    size_t refits;  // 32 trials in batches of 8
+  };
+  for (const Case& c : {Case{true, true, 3}, Case{true, false, 4},
+                        Case{false, true, 3}, Case{false, false, 3}}) {
+    tuner::XgbOptions options;
+    options.seed = 3;
+    options.pretrain_with_analytical = c.pretrain;
+    if (c.warm) options.warm_seeds = {0, 5, 10, 15, 20, 25, 30, 35};
+    tuner::TuningResult quiet = tuner::XgbTuner(task, 32, options);
+
+    std::vector<tuner::TrialEvent> events;
+    options.logger = [&events](const tuner::TrialEvent& event) {
+      events.push_back(event);
+    };
+    uint64_t refits_before = refit_counter.Value();
+    tuner::TuningResult logged = tuner::XgbTuner(task, 32, options);
+    EXPECT_EQ(logged.trials, quiet.trials);
+    EXPECT_EQ(logged.measured, quiet.measured);
+
+    using Kind = tuner::TrialEvent::Kind;
+    size_t refits = 0;
+    size_t measured = 0;
+    size_t last_fit_trials = 0;
+    int last_proposed_round = -1;  // warm seeds are proposed as round -1
+    bool pending_refit = false;  // a kRefit not yet followed by a proposal
+    for (const tuner::TrialEvent& event : events) {
+      switch (event.kind) {
+        case Kind::kRefit:
+          EXPECT_FALSE(pending_refit) << "two fits before one round";
+          EXPECT_EQ(event.round, last_proposed_round + 1);
+          EXPECT_EQ(static_cast<size_t>(event.training_size), measured);
+          if (refits > 0) {
+            EXPECT_GT(measured, last_fit_trials);
+          }
+          last_fit_trials = measured;
+          pending_refit = true;
+          ++refits;
+          break;
+        case Kind::kProposed:
+          if (event.round != last_proposed_round && event.round >= 0) {
+            // First proposal of a round: model-guided exactly when a
+            // fit precedes it.
+            EXPECT_EQ(pending_refit, !std::isnan(event.predicted_score))
+                << "round " << event.round;
+          }
+          pending_refit = false;
+          last_proposed_round = event.round;
+          break;
+        case Kind::kMeasured:
+          ++measured;
+          break;
+      }
+    }
+    EXPECT_FALSE(pending_refit) << "a fit follows the final round";
+    EXPECT_EQ(events.back().kind, Kind::kMeasured);
+    EXPECT_EQ(measured, 32u);
+    EXPECT_EQ(refits, c.refits)
+        << "pretrain=" << c.pretrain << " warm=" << c.warm;
+    EXPECT_EQ(refit_counter.Value() - refits_before, refits);
+  }
+}
+
+// Golden pin of XgbTuner on one Fig. 10 operator per space size (1,920,
+// 960 and 1,440 configs), with and without analytical pretraining: a cold
+// search, then a second search warm-seeded from the first through a
+// TuningStore. Recorded before the lazy refit and the level-wise GBT
+// builder; how fast the cost model fits may change, which configs the
+// search measures (and what they measure) may not.
+TEST(StrategyTest, XgbSearchesMatchGolden) {
+  struct Golden {
+    const char* op;
+    bool pretrain;
+    uint64_t cold;
+    uint64_t warm;
+  };
+  const Golden goldens[] = {
+      {"MM_BERT_FC2", false, 0x59311ed33e45754ull, 0xf825041bb13a20c1ull},
+      {"MM_BERT_FC2", true, 0xe30898c918e32ff4ull, 0xe88452a436f297e5ull},
+      {"MM_RN50_FC", false, 0x3da3f4652ab25b8full, 0xc1560e0b2013145dull},
+      {"MM_RN50_FC", true, 0x7dabaca6aac1d01eull, 0xec4bc5cf13596aa8ull},
+      {"Conv_RN50_3x3", false, 0x1a22490476bb026eull, 0xd667e04291477e78ull},
+      {"Conv_RN50_3x3", true, 0x9448b751f1fe6b6bull, 0x4c8e59e8995766d3ull},
+  };
+  auto fingerprint = [](const tuner::TuningResult& result) {
+    std::vector<double> trials(result.trials.begin(), result.trials.end());
+    return Fingerprint(result.measured, Fingerprint(trials));
+  };
+  for (const Golden& golden : goldens) {
+    tuner::TuningTask task = tuner::MakeSimulatorTask(
+        workloads::FindOp(golden.op), target::AmpereSpec());
+    tuner::XgbOptions options;
+    options.seed = 7;
+    options.pretrain_with_analytical = golden.pretrain;
+    tuner::TuningResult cold = tuner::XgbTuner(task, 32, options);
+    tuner::TuningStore store;
+    tuner::StoreTuning(task, cold, store);
+    options.warm_seeds = tuner::FindWarmStart(task, store).seeds;
+    ASSERT_FALSE(options.warm_seeds.empty()) << golden.op;
+    tuner::TuningResult warm = tuner::XgbTuner(task, 32, options);
+    ASSERT_EQ(cold.trials.size(), 32u) << golden.op;
+    ASSERT_EQ(warm.trials.size(), 32u) << golden.op;
+    EXPECT_EQ(fingerprint(cold), golden.cold)
+        << golden.op << " pretrain=" << golden.pretrain << " cold 0x"
+        << std::hex << fingerprint(cold);
+    EXPECT_EQ(fingerprint(warm), golden.warm)
+        << golden.op << " pretrain=" << golden.pretrain << " warm 0x"
+        << std::hex << fingerprint(warm);
+  }
 }
 
 // ModelKeepSet ranks only the configs CheckConfigFeasibility admits, so
