@@ -126,6 +126,29 @@ TEST(FlightRecorderTest, RecordJsonRoundTripsThroughParser) {
   EXPECT_EQ(parsed->Find("queue_us")->NumberOr(0), 1234.5678901234567);
 }
 
+// The access-log line and the flight record are this rendering; its bytes
+// were recorded before the JSON writers were unified.
+TEST(FlightRecorderTest, RecordJsonMatchesGoldenBytes) {
+  obs::RequestRecord rec = MakeRecord(18446744073709551615u, "a\"b\\c\td",
+                                      "slow", "error");
+  rec.client_id = 9007199254740992;
+  rec.method = "compile";
+  rec.op_key = "matmul_512x512x512";
+  rec.transport = "http";
+  rec.batch = 3;
+  rec.arrival_ns = -5;
+  rec.queue_us = 0.1;
+  rec.service_us = 1234.5678901234567;
+  rec.total_us = 1e-7 + 2.0 / 3.0;
+  EXPECT_EQ(obs::RequestRecordJson(rec),
+            R"({"id":18446744073709551615,"client":"a\"b\\c\td",)"
+            R"("client_id":9007199254740992,"method":"compile",)"
+            R"("op_key":"matmul_512x512x512","lane":"slow","outcome":"error",)"
+            R"("transport":"http","batch":3,"arrival_ns":-5,)"
+            R"("queue_us":0.10000000000000001,"service_us":1234.5678901234567,)"
+            R"("total_us":0.66666676666666658})");
+}
+
 // ---------------------------------------------------- metrics time series
 
 obs::MetricSnapshot CounterSnap(const std::string& name, double value) {

@@ -17,6 +17,7 @@
 
 #include "schedule/tensor.h"
 #include "serving/client.h"
+#include "serving/http.h"
 #include "serving/persist.h"
 #include "serving/protocol.h"
 #include "serving/server.h"
@@ -443,6 +444,128 @@ TEST_F(ServerTest, ShutdownMethodStopsTheDaemonAndPersists) {
   EXPECT_TRUE(loaded.ok) << loaded.error;
   EXPECT_GE(loaded.timings, 1u);
   std::remove(options_.cache_path.c_str());
+}
+
+// The object keys of a JSON document in document order, nested objects
+// and array elements included, comma-joined.
+void AppendKeySequence(const JsonValue& value, std::string* out) {
+  for (const auto& [key, member] : value.object) {
+    *out += key + ",";
+    AppendKeySequence(member, out);
+  }
+  for (const JsonValue& element : value.array) AppendKeySequence(element, out);
+}
+
+std::string KeySequence(const std::string& json) {
+  std::optional<JsonValue> parsed = ParseJson(json);
+  if (!parsed.has_value()) return "unparsable: " + json;
+  std::string keys;
+  AppendKeySequence(*parsed, &keys);
+  return keys;
+}
+
+// Every reply shape of the daemon, byte for byte, against replies
+// recorded before the JSON writers were unified. Shapes whose values
+// depend on timing (stats, /healthz, debug requests) are pinned by
+// their key sequence.
+TEST_F(ServerTest, RepliesMatchGoldenBytes) {
+  options_.http_port = 0;
+  options_.watchdog_stall_ms = 0;
+  const std::string cache = ::testing::TempDir() + "/alcopd_golden_" +
+                            std::to_string(::getpid()) + ".alcp";
+  std::remove(cache.c_str());
+  serving::Server server(options_);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_, &error)) << error;
+  auto call = [&client](const std::string& request) {
+    return client.CallRaw(request).value_or("no reply");
+  };
+
+  EXPECT_EQ(call(R"({"id":1,"method":"ping"})"),
+            R"({"id":1,"ok":true,"pong":true})");
+  const std::string compile =
+      R"("method":"compile","m":512,"n":512,"k":512,)"
+      R"("config":{"tb":[128,128,32],"warp":[64,64,16],"smem":2}})";
+  const std::string timing =
+      R"("ok":true,"feasible":true,"cycles":19355.328680351908,)"
+      R"("microseconds":13.727183461242488,"tflops":19.555027931105041,)"
+      R"("threadblocks_per_sm":2,"batches":1})";
+  EXPECT_EQ(call(R"({"id":2,)" + compile), R"({"id":2,)" + timing);
+  EXPECT_EQ(call(R"({"id":3,)" + compile), R"({"id":3,)" + timing);
+  // The PMU block is the pretty-printed PmuToJson of one more replay.
+  schedule::ScheduleConfig config;
+  config.tile = {128, 128, 32, 64, 64, 16};
+  config.smem_stages = 3;
+  sim::ReplayArena arena;
+  sim::KernelPmu pmu;
+  sim::ReplaySimProgram(
+      sim::CompileSimProgram(schedule::MakeMatmul("mm", 512, 512, 1024),
+                             config, options_.spec),
+      &arena, &pmu);
+  EXPECT_EQ(
+      call(R"({"id":4,"method":"profile","m":512,"n":512,"k":1024,)"
+           R"("config":{"tb":[128,128,32],"warp":[64,64,16],"smem":3}})"),
+      R"({"id":4,"ok":true,"feasible":true,"cycles":35163.328680351908,)"
+      R"("microseconds":24.938530978972985,"tflops":21.527768113232678,)"
+      R"("threadblocks_per_sm":2,"batches":1,"pmu":)" +
+          sim::PmuToJson(pmu) + "}");
+  const std::string tune =
+      R"("method":"tune","m":512,"n":768,"k":1024,"trials":4})";
+  const std::string best =
+      R"("op_key":"matmul/1/512x768x1024",)";
+  const std::string config_cycles =
+      R"("best_config":"tb=64x64x32 warp=32x32x16 smem_stages=3 )"
+      R"(reg_stages=1","best_cycles":17571.047859237533,"trials":4)";
+  EXPECT_EQ(call(R"({"id":5,)" + tune),
+            R"({"id":5,"ok":true,)" + best + R"("source":"search",)" +
+                config_cycles + R"(,"warm_source":"","warm_seeds":0})");
+  EXPECT_EQ(call(R"({"id":6,)" + tune),
+            R"({"id":6,"ok":true,)" + best + R"("source":"store",)" +
+                config_cycles + "}");
+  const std::string counts =
+      R"(","bytes":95682,"timings":6,"programs":6,"skeletons":6,)"
+      R"("tunings":1,"skipped":0})";
+  EXPECT_EQ(call(R"({"id":7,"method":"persist","path":")" + cache + R"("})"),
+            R"({"id":7,"ok":true,"path":")" + cache + counts);
+  EXPECT_EQ(call(R"({"id":8,"method":"load","path":")" + cache + R"("})"),
+            R"({"id":8,"ok":true,"path":")" + cache + counts);
+  EXPECT_EQ(call(R"({"id":9,"method":"debug","n":0})"),
+            R"({"id":9,"ok":true,"what":"requests",)"
+            R"("result":{"requests":[],"total_recorded":8}})");
+
+  EXPECT_EQ(call("this is not json"),
+            R"({"id":0,"ok":false,"error":"malformed JSON"})");
+  EXPECT_EQ(call(R"({"id":10,"method":"nope"})"),
+            R"({"id":10,"ok":false,"error":"unknown method \"nope\""})");
+  EXPECT_EQ(call(R"({"id":11,"method":"tune","m":512,"n":512,"k":512,)"
+                 R"("trials":-1})"),
+            R"({"id":11,"ok":false,)"
+            R"("error":"\"trials\" must be an integer in [1, 16777216]"})");
+  EXPECT_EQ(call(R"({"id":12,"method":"debug","what":"nope"})"),
+            R"({"id":12,"ok":false,"error":"unknown debug view \"nope\""})");
+
+  const std::string lane = "count,mean_us,p50_us,p99_us,p999_us,max_us,";
+  EXPECT_EQ(KeySequence(call(R"({"id":13,"method":"stats"})")),
+            "id,ok,timing_hits,timing_misses,timing_entries,program_entries,"
+            "program_skeletons,resident_bytes,budget_bytes,evictions,"
+            "disk_hits,disk_misses,disk_load_bytes,stored_tunings,requests,"
+            "inflight,latency,fast," + lane + "slow," + lane);
+  std::optional<serving::HttpResponse> health =
+      serving::HttpCall(server.http_port(), "GET", "/healthz");
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(KeySequence(health->body),
+            "ok,uptime_seconds,inflight,requests,cache,resident_bytes,"
+            "budget_bytes,headroom_bytes,");
+  const std::string record =
+      "id,client,client_id,method,op_key,lane,outcome,transport,batch,"
+      "arrival_ns,queue_us,service_us,total_us,";
+  EXPECT_EQ(KeySequence(call(R"({"id":14,"method":"debug","n":2})")),
+            "id,ok,what,result,requests," + record + record +
+                "total_recorded,");
+  server.Stop();
+  std::remove(cache.c_str());
 }
 
 }  // namespace
