@@ -125,6 +125,7 @@
 #include "serving/protocol.h"
 #include "serving/server.h"
 #include "support/check.h"
+#include "support/json.h"
 #include "sim/launch.h"
 #include "sim/pmu.h"
 #include "sim/sim_cache.h"
@@ -138,6 +139,8 @@
 #include "workloads/ops.h"
 
 using namespace alcop;  // NOLINT(build/namespaces) - CLI driver
+using support::JsonArray;
+using support::JsonObject;
 
 namespace {
 
@@ -185,13 +188,6 @@ bool ParseWorkload(const std::vector<char*>& positional,
     return false;
   }
   return true;
-}
-
-std::string JsonDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 const char* TrialEventName(tuner::TrialEvent::Kind kind) {
@@ -299,28 +295,27 @@ int CmdTune(int argc, char** argv) {
       return 1;
     }
     options.logger = [&log](const tuner::TrialEvent& e) {
-      log << "{\"event\": \"" << TrialEventName(e.kind)
-          << "\", \"round\": " << e.round;
+      JsonObject line;
+      line.Str("event", TrialEventName(e.kind)).Int("round", e.round);
       switch (e.kind) {
         case tuner::TrialEvent::Kind::kProposed:
-          log << ", \"trial\": " << e.trial
-              << ", \"space_index\": " << e.space_index << ", \"config\": \""
-              << e.config << "\", \"predicted_score\": "
-              << JsonDouble(e.predicted_score)
-              << ", \"analytical_cycles\": "
-              << JsonDouble(e.analytical_cycles);
+          line.Uint("trial", e.trial)
+              .Uint("space_index", e.space_index)
+              .Str("config", e.config)
+              .Num("predicted_score", e.predicted_score)
+              .Num("analytical_cycles", e.analytical_cycles);
           break;
         case tuner::TrialEvent::Kind::kMeasured:
-          log << ", \"trial\": " << e.trial
-              << ", \"space_index\": " << e.space_index
-              << ", \"measured_cycles\": " << JsonDouble(e.measured_cycles);
+          line.Uint("trial", e.trial)
+              .Uint("space_index", e.space_index)
+              .Num("measured_cycles", e.measured_cycles);
           break;
         case tuner::TrialEvent::Kind::kRefit:
-          log << ", \"training_size\": " << e.training_size
-              << ", \"rank_accuracy\": " << JsonDouble(e.rank_accuracy);
+          line.Int("training_size", e.training_size)
+              .Num("rank_accuracy", e.rank_accuracy);
           break;
       }
-      log << "}\n";
+      log << line.Object() << "\n";
     };
   }
   tuner::TuningResult result = tuner::XgbTuner(task, trials, options);
@@ -397,17 +392,6 @@ int CmdParse(int argc, char** argv) {
   }
 }
 
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 int CmdVerify(int argc, char** argv) {
   bool json = false;
   std::vector<char*> positional;
@@ -443,13 +427,17 @@ int CmdVerify(int argc, char** argv) {
     for (const verify::Diagnostic& d : result.diagnostics) {
       if (d.severity == verify::Severity::kError) ++errors;
     }
-    std::printf(
-        "{\"command\": \"verify\", \"file\": %s, \"clean\": %s, "
-        "\"errors\": %zu, \"step_limit_reached\": %s,\n \"diagnostics\": "
-        "%s}\n",
-        JsonString(path).c_str(), result.Clean() ? "true" : "false", errors,
-        result.reached_step_limit ? "true" : "false",
-        verify::DiagnosticsToJson(result.diagnostics).c_str());
+    std::printf("%s\n",
+                JsonObject()
+                    .Str("command", "verify")
+                    .Str("file", path)
+                    .Bool("clean", result.Clean())
+                    .Uint("errors", errors)
+                    .Bool("step_limit_reached", result.reached_step_limit)
+                    .Raw("diagnostics",
+                         verify::DiagnosticsToJson(result.diagnostics))
+                    .Object()
+                    .c_str());
     return result.HasErrors() ? 1 : 0;
   }
   if (result.Clean()) {
@@ -514,42 +502,46 @@ int CmdLint(int argc, char** argv) {
   analysis::LintResult result = analysis::LintProgram(program, options);
 
   if (json) {
-    std::ostringstream out;
-    out << "{\"command\": \"lint\", \"subject\": " << JsonString(subject)
-        << ", \"schedule\": " << JsonString(schedule_str)
-        << ", \"clean\": " << (result.Clean() ? "true" : "false")
-        << ", \"errors\": " << (result.HasErrors() ? "true" : "false");
+    JsonObject out;
+    out.Str("command", "lint")
+        .Str("subject", subject)
+        .Str("schedule", schedule_str)
+        .Bool("clean", result.Clean())
+        .Bool("errors", result.HasErrors());
     if (result.feasibility.has_value()) {
       const analysis::StaticFeasibility& f = *result.feasibility;
-      out << ",\n \"feasibility\": {\"feasible\": "
-          << (f.feasible ? "true" : "false")
-          << ", \"reason\": " << JsonString(f.reason)
-          << ", \"smem_bytes\": " << f.resources.smem_bytes
-          << ", \"reg_bytes\": " << f.resources.reg_bytes
-          << ", \"warps\": " << f.resources.warps
-          << ", \"threadblocks_per_sm\": " << f.occupancy.threadblocks_per_sm
-          << ", \"limiter\": "
-          << JsonString(target::LimiterName(f.occupancy.limiter)) << "}";
+      out.Raw("feasibility",
+              JsonObject()
+                  .Bool("feasible", f.feasible)
+                  .Str("reason", f.reason)
+                  .Int("smem_bytes", f.resources.smem_bytes)
+                  .Int("reg_bytes", f.resources.reg_bytes)
+                  .Int("warps", f.resources.warps)
+                  .Int("threadblocks_per_sm", f.occupancy.threadblocks_per_sm)
+                  .Str("limiter", target::LimiterName(f.occupancy.limiter))
+                  .Object());
     }
     if (result.bank.has_value()) {
       const analysis::BankReport& b = *result.bank;
-      out << ",\n \"bank\": {\"max_degree\": " << b.max_degree
-          << ", \"sim_divisor\": " << JsonDouble(b.sim_divisor)
-          << ", \"predicted_lds_read_bytes\": "
-          << JsonDouble(b.predicted_lds_read_bytes)
-          << ", \"accesses\": " << b.accesses.size() << "}";
+      out.Raw("bank", JsonObject()
+                          .Int("max_degree", b.max_degree)
+                          .Num("sim_divisor", b.sim_divisor)
+                          .Num("predicted_lds_read_bytes",
+                               b.predicted_lds_read_bytes)
+                          .Uint("accesses", b.accesses.size())
+                          .Object());
     }
-    out << ",\n \"passes\": [";
-    for (size_t i = 0; i < result.pass_stats.size(); ++i) {
-      const analysis::PassStats& p = result.pass_stats[i];
-      if (i > 0) out << ", ";
-      out << "{\"name\": " << JsonString(p.name)
-          << ", \"findings\": " << p.findings
-          << ", \"millis\": " << JsonDouble(p.millis) << "}";
+    std::vector<std::string> passes;
+    for (const analysis::PassStats& p : result.pass_stats) {
+      passes.push_back(JsonObject()
+                           .Str("name", p.name)
+                           .Uint("findings", p.findings)
+                           .Num("millis", p.millis)
+                           .Object());
     }
-    out << "],\n \"diagnostics\": "
-        << verify::DiagnosticsToJson(result.diagnostics) << "}";
-    std::printf("%s\n", out.str().c_str());
+    out.Raw("passes", JsonArray(passes))
+        .Raw("diagnostics", verify::DiagnosticsToJson(result.diagnostics));
+    std::printf("%s\n", out.Object().c_str());
     return result.HasErrors() ? 1 : 0;
   }
 
@@ -792,45 +784,53 @@ int CmdCache(int argc, char** argv) {
       // in-process server (tests, benches) populates.
       obs::Registry& registry = obs::Registry::Global();
       auto lane_json = [&registry](const char* lane) {
-        obs::HistogramData data =
+        return obs::LatencySummaryJson(
             registry
                 .GetHistogram(std::string("serving.request.latency.us|lane=") +
                               lane)
-                .Data();
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"count\": %llu, \"p50_us\": %g, \"p99_us\": %g, "
-                      "\"p999_us\": %g, \"max_us\": %g}",
-                      (unsigned long long)data.count,
-                      obs::HistogramQuantile(data, 0.5),
-                      obs::HistogramQuantile(data, 0.99),
-                      obs::HistogramQuantile(data, 0.999), data.max);
-        return std::string(buf);
+                .Data());
       };
+      std::string latency = JsonObject()
+                                .Raw("fast", lane_json("fast"))
+                                .Raw("slow", lane_json("slow"))
+                                .Object();
       std::printf(
-          "{\"command\": \"cache\", \"action\": \"stats\", "
-          "\"path\": %s,\n \"timing\": {\"hits\": %llu, \"misses\": %llu, "
-          "\"entries\": %llu, \"bytes\": %llu},\n \"program\": {\"hits\": "
-          "%llu, \"misses\": %llu, \"entries\": %llu, \"skeletons\": %llu, "
-          "\"bytes\": %llu, \"skeleton_bytes\": %llu},\n \"resident_bytes\": "
-          "%llu, \"budget_bytes\": %llu, \"evictions\": %llu,\n \"disk\": "
-          "{\"hits\": %llu, \"misses\": %llu, \"load_bytes\": %llu},\n "
-          "\"stored_tunings\": %zu,\n \"serving\": {\"inflight\": %g, "
-          "\"latency\": {\"fast\": %s, \"slow\": %s}}}\n",
-          JsonString(path).c_str(), (unsigned long long)s.hits,
-          (unsigned long long)s.misses, (unsigned long long)s.entries,
-          (unsigned long long)s.timing_bytes, (unsigned long long)s.program_hits,
-          (unsigned long long)s.program_misses,
-          (unsigned long long)s.program_entries,
-          (unsigned long long)s.program_skeletons,
-          (unsigned long long)s.program_bytes,
-          (unsigned long long)s.skeleton_bytes,
-          (unsigned long long)s.resident_bytes,
-          (unsigned long long)s.budget_bytes, (unsigned long long)s.evictions,
-          (unsigned long long)s.disk_hits, (unsigned long long)s.disk_misses,
-          (unsigned long long)s.disk_load_bytes, tunings,
-          registry.GetGauge("serving.inflight").Value(),
-          lane_json("fast").c_str(), lane_json("slow").c_str());
+          "%s\n",
+          JsonObject()
+              .Str("command", "cache")
+              .Str("action", "stats")
+              .Str("path", path)
+              .Raw("timing", JsonObject()
+                                 .Uint("hits", s.hits)
+                                 .Uint("misses", s.misses)
+                                 .Uint("entries", s.entries)
+                                 .Uint("bytes", s.timing_bytes)
+                                 .Object())
+              .Raw("program", JsonObject()
+                                  .Uint("hits", s.program_hits)
+                                  .Uint("misses", s.program_misses)
+                                  .Uint("entries", s.program_entries)
+                                  .Uint("skeletons", s.program_skeletons)
+                                  .Uint("bytes", s.program_bytes)
+                                  .Uint("skeleton_bytes", s.skeleton_bytes)
+                                  .Object())
+              .Uint("resident_bytes", s.resident_bytes)
+              .Uint("budget_bytes", s.budget_bytes)
+              .Uint("evictions", s.evictions)
+              .Raw("disk", JsonObject()
+                               .Uint("hits", s.disk_hits)
+                               .Uint("misses", s.disk_misses)
+                               .Uint("load_bytes", s.disk_load_bytes)
+                               .Object())
+              .Uint("stored_tunings", tunings)
+              .Raw("serving",
+                   JsonObject()
+                       .Num("inflight",
+                            registry.GetGauge("serving.inflight").Value())
+                       .Raw("latency", latency)
+                       .Object())
+              .Object()
+              .c_str());
       return 0;
     }
     std::printf("timing layer:  %llu entries, %llu hits / %llu misses\n",
@@ -860,10 +860,13 @@ int CmdCache(int argc, char** argv) {
     tuner::TuningStore::Global().Clear();
     bool removed = !path.empty() && std::remove(path.c_str()) == 0;
     if (json) {
-      std::printf(
-          "{\"command\": \"cache\", \"action\": \"clear\", \"path\": %s, "
-          "\"removed_file\": %s}\n",
-          JsonString(path).c_str(), removed ? "true" : "false");
+      std::printf("%s\n", JsonObject()
+                              .Str("command", "cache")
+                              .Str("action", "clear")
+                              .Str("path", path)
+                              .Bool("removed_file", removed)
+                              .Object()
+                              .c_str());
     } else {
       std::printf("cleared in-memory caches%s\n",
                   removed ? (", removed " + path).c_str() : "");
@@ -881,18 +884,15 @@ int CmdCache(int argc, char** argv) {
                                       ? serving::SaveCache(path, spec)
                                       : serving::LoadCache(path, spec);
     if (json) {
-      std::printf(
-          "{\"command\": \"cache\", \"action\": %s, \"path\": %s, \"ok\": "
-          "%s, \"error\": %s,\n \"bytes\": %llu, \"timings\": %llu, "
-          "\"programs\": %llu, \"skeletons\": %llu, \"tunings\": %llu, "
-          "\"skipped\": %llu}\n",
-          JsonString(action).c_str(), JsonString(path).c_str(),
-          stats.ok ? "true" : "false", JsonString(stats.error).c_str(),
-          (unsigned long long)stats.bytes, (unsigned long long)stats.timings,
-          (unsigned long long)stats.programs,
-          (unsigned long long)stats.skeletons,
-          (unsigned long long)stats.tunings,
-          (unsigned long long)stats.skipped);
+      std::printf("%s\n", JsonObject()
+                              .Str("command", "cache")
+                              .Str("action", action)
+                              .Str("path", path)
+                              .Bool("ok", stats.ok)
+                              .Str("error", stats.error)
+                              .Append(serving::PersistStatsJson(stats))
+                              .Object()
+                              .c_str());
       return stats.ok ? 0 : 1;
     }
     if (!stats.ok) {
@@ -973,18 +973,18 @@ int CmdServe(int argc, char** argv) {
   std::string error;
   if (!server.Start(&error)) {
     obs::Log(obs::LogLevel::kError, "alcopd", "start failed",
-             obs::LogFields().Str("error", error));
+             JsonObject().Str("error", error));
     return 1;
   }
   obs::Log(obs::LogLevel::kInfo, "alcopd", "listening",
-           obs::LogFields()
+           JsonObject()
                .Str("socket", server.options().socket_path)
                .Str("cache", server.options().cache_path.empty()
                                  ? "disabled"
                                  : server.options().cache_path));
   if (server.http_port() >= 0) {
     obs::Log(obs::LogLevel::kInfo, "alcopd", "http front end",
-             obs::LogFields()
+             JsonObject()
                  .Str("address",
                       "127.0.0.1:" + std::to_string(server.http_port()))
                  .Str("endpoints",
@@ -993,7 +993,7 @@ int CmdServe(int argc, char** argv) {
   server.Wait();
   server.Stop();
   obs::Log(obs::LogLevel::kInfo, "alcopd", "exit",
-           obs::LogFields().Uint("requests", server.requests_served()));
+           JsonObject().Uint("requests", server.requests_served()));
   obs::StructuredLog::Global().CloseFile();
   return 0;
 }
@@ -1005,9 +1005,7 @@ std::string TripleToJson(const char* text) {
       b <= 0 || c <= 0) {
     return "";
   }
-  std::ostringstream out;
-  out << "[" << a << "," << b << "," << c << "]";
-  return out.str();
+  return JsonArray({std::to_string(a), std::to_string(b), std::to_string(c)});
 }
 
 int CmdClient(int argc, char** argv) {
@@ -1024,31 +1022,30 @@ int CmdClient(int argc, char** argv) {
     payload = method;  // raw protocol JSON, sent verbatim
   } else if (method == "ping" || method == "stats" || method == "persist" ||
              method == "load" || method == "shutdown") {
-    payload = "{\"id\":1,\"method\":\"" + method + "\"}";
+    payload = JsonObject().Int("id", 1).Str("method", method).Object();
   } else if (method == "debug") {
     // client SOCKET debug [requests|log|trace] [N]
     //   [--client C] [--lane L] [--outcome O]
     std::string what = "requests";
-    std::ostringstream extra;
+    JsonObject filters;
     long long n = 0;
     for (int i = 4; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--client") == 0 && i + 1 < argc) {
-        extra << ",\"client\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--lane") == 0 && i + 1 < argc) {
-        extra << ",\"lane\":\"" << argv[++i] << "\"";
-      } else if (std::strcmp(argv[i], "--outcome") == 0 && i + 1 < argc) {
-        extra << ",\"outcome\":\"" << argv[++i] << "\"";
+      if ((std::strcmp(argv[i], "--client") == 0 ||
+           std::strcmp(argv[i], "--lane") == 0 ||
+           std::strcmp(argv[i], "--outcome") == 0) &&
+          i + 1 < argc) {
+        filters.Str(argv[i] + 2, argv[i + 1]);
+        ++i;
       } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
         n = std::atoll(argv[i]);
       } else {
         what = argv[i];
       }
     }
-    std::ostringstream out;
-    out << "{\"id\":1,\"method\":\"debug\",\"what\":\"" << what << "\"";
-    if (n > 0) out << ",\"n\":" << n;
-    out << extra.str() << "}";
-    payload = out.str();
+    JsonObject out;
+    out.Int("id", 1).Str("method", "debug").Str("what", what);
+    if (n > 0) out.Int("n", n);
+    payload = out.Append(filters).Object();
   } else if (method == "tune" || method == "compile" || method == "profile") {
     std::string tb, warp;
     int smem = 0, reg = 0, split_k = 0;
@@ -1092,28 +1089,32 @@ int CmdClient(int argc, char** argv) {
     long long n = std::atoll(positional[1]);
     long long k = std::atoll(positional[2]);
     long long batch = positional.size() > 3 ? std::atoll(positional[3]) : 1;
-    std::ostringstream out;
-    out << "{\"id\":1,\"method\":\"" << method << "\",\"family\":\""
-        << (batch > 1 ? "batch_matmul" : "matmul") << "\",\"batch\":" << batch
-        << ",\"m\":" << m << ",\"n\":" << n << ",\"k\":" << k;
+    JsonObject out;
+    out.Int("id", 1)
+        .Str("method", method)
+        .Str("family", batch > 1 ? "batch_matmul" : "matmul")
+        .Int("batch", batch)
+        .Int("m", m)
+        .Int("n", n)
+        .Int("k", k);
     if (method == "tune") {
-      if (trials > 0) out << ",\"trials\":" << trials;
-      if (no_warm) out << ",\"warm\":false";
-      if (force) out << ",\"force\":true";
+      if (trials > 0) out.Int("trials", trials);
+      if (no_warm) out.Bool("warm", false);
+      if (force) out.Bool("force", true);
     } else {
       if (tb.empty()) {
         std::fprintf(stderr, "%s needs --tb M,N,K\n", method.c_str());
         return 1;
       }
-      out << ",\"config\":{\"tb\":" << tb;
-      if (!warp.empty()) out << ",\"warp\":" << warp;
-      if (smem > 0) out << ",\"smem\":" << smem;
-      if (reg > 0) out << ",\"reg\":" << reg;
-      if (split_k > 0) out << ",\"split_k\":" << split_k;
-      out << "}";
+      JsonObject config;
+      config.Raw("tb", tb);
+      if (!warp.empty()) config.Raw("warp", warp);
+      if (smem > 0) config.Int("smem", smem);
+      if (reg > 0) config.Int("reg", reg);
+      if (split_k > 0) config.Int("split_k", split_k);
+      out.Raw("config", config.Object());
     }
-    out << "}";
-    payload = out.str();
+    payload = out.Object();
   } else {
     std::fprintf(stderr, "unknown client method '%s'\n", method.c_str());
     return 1;

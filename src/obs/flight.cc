@@ -1,29 +1,28 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/json.h"
 
 namespace alcop {
 namespace obs {
 
-using support::JsonEscape;
-
 std::string RequestRecordJson(const RequestRecord& rec) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{\"id\":" << rec.id << ",\"client\":\"" << JsonEscape(rec.client)
-      << "\",\"client_id\":" << rec.client_id << ",\"method\":\""
-      << JsonEscape(rec.method) << "\",\"op_key\":\"" << JsonEscape(rec.op_key)
-      << "\",\"lane\":\"" << JsonEscape(rec.lane)
-      << "\",\"outcome\":\"" << JsonEscape(rec.outcome)
-      << "\",\"transport\":\"" << JsonEscape(rec.transport)
-      << "\",\"batch\":" << rec.batch << ",\"arrival_ns\":" << rec.arrival_ns
-      << ",\"queue_us\":" << rec.queue_us
-      << ",\"service_us\":" << rec.service_us
-      << ",\"total_us\":" << rec.total_us << "}";
-  return out.str();
+  return support::JsonObject()
+      .Uint("id", rec.id)
+      .Str("client", rec.client)
+      .Int("client_id", rec.client_id)
+      .Str("method", rec.method)
+      .Str("op_key", rec.op_key)
+      .Str("lane", rec.lane)
+      .Str("outcome", rec.outcome)
+      .Str("transport", rec.transport)
+      .Uint("batch", rec.batch)
+      .Int("arrival_ns", rec.arrival_ns)
+      .Num("queue_us", rec.queue_us)
+      .Num("service_us", rec.service_us)
+      .Num("total_us", rec.total_us)
+      .Object();
 }
 
 FlightRecorder::FlightRecorder(size_t depth) : depth_(depth) {}

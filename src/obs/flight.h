@@ -37,8 +37,9 @@ struct RequestRecord {
   std::string transport;  // "unix" | "http"
   uint64_t batch = 0;     // slow-lane drain round (0 on the fast lane)
   int64_t arrival_ns = 0;
-  // Microsecond timings as doubles so a flight record and the matching
-  // access-log line render bit-identically (both print at precision 17).
+  // Microsecond timings as doubles; a flight record and the matching
+  // access-log line are both RequestRecordJson, so they match byte for
+  // byte.
   double queue_us = 0.0;
   double service_us = 0.0;
   double total_us = 0.0;

@@ -6,9 +6,6 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <sstream>
-
-#include "support/json.h"
 
 namespace alcop {
 namespace obs {
@@ -24,9 +21,6 @@ std::string LowerCopy(const std::string& text) {
 }
 
 }  // namespace
-
-using support::JsonEscape;
-using support::NumberToJson;
 
 LogLevel ParseLogLevel(const std::string& text, LogLevel fallback) {
   std::string lower = LowerCopy(text);
@@ -47,36 +41,6 @@ const char* LogLevelName(LogLevel level) {
     case LogLevel::kOff: return "off";
   }
   return "info";
-}
-
-LogFields& LogFields::Str(const std::string& key, const std::string& value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
-  return *this;
-}
-
-LogFields& LogFields::Num(const std::string& key, double value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + NumberToJson(value);
-  return *this;
-}
-
-LogFields& LogFields::Int(const std::string& key, int64_t value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + std::to_string(value);
-  return *this;
-}
-
-LogFields& LogFields::Uint(const std::string& key, uint64_t value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + std::to_string(value);
-  return *this;
-}
-
-LogFields& LogFields::Bool(const std::string& key, bool value) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + (value ? "true" : "false");
-  return *this;
-}
-
-LogFields& LogFields::Raw(const std::string& key, const std::string& json) {
-  fragment_ += ",\"" + JsonEscape(key) + "\":" + json;
-  return *this;
 }
 
 struct StructuredLog::Impl {
@@ -150,7 +114,7 @@ void StructuredLog::CloseFile() {
 
 void StructuredLog::Write(LogLevel level, const std::string& component,
                           const std::string& message,
-                          const std::string& fields) {
+                          const support::JsonObject& fields) {
   Impl& i = impl();
   if (static_cast<int>(level) < i.level.load(std::memory_order_relaxed)) {
     return;
@@ -161,11 +125,13 @@ void StructuredLog::Write(LogLevel level, const std::string& component,
   int64_t ts_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::system_clock::now().time_since_epoch())
                       .count();
-  std::ostringstream line;
-  line << "{\"ts_ns\":" << ts_ns << ",\"level\":\"" << LogLevelName(level)
-       << "\",\"component\":\"" << JsonEscape(component) << "\",\"msg\":\""
-       << JsonEscape(message) << "\"" << fields << "}";
-  std::string rendered = line.str();
+  std::string rendered = support::JsonObject()
+                             .Int("ts_ns", ts_ns)
+                             .Str("level", LogLevelName(level))
+                             .Str("component", component)
+                             .Str("msg", message)
+                             .Append(fields)
+                             .Object();
   i.total.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(i.mu);
   if (i.ring_depth > 0) {
@@ -213,8 +179,8 @@ void StructuredLog::Clear() {
 }
 
 void Log(LogLevel level, const std::string& component,
-         const std::string& message, const LogFields& fields) {
-  StructuredLog::Global().Write(level, component, message, fields.Json());
+         const std::string& message, const support::JsonObject& fields) {
+  StructuredLog::Global().Write(level, component, message, fields);
 }
 
 }  // namespace obs

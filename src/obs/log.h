@@ -14,17 +14,19 @@
 // threshold initializes from ALCOP_LOG_LEVEL on first use and can be
 // changed at runtime. A suppressed Write costs one relaxed atomic load.
 //
-// Extra fields ride along as a pre-rendered JSON fragment built with
-// LogFields:
+// Extra fields are built with the shared JSON object builder
+// (support/json.h) and spliced after "msg":
 //
 //   Log(LogLevel::kWarn, "serving", "slow lane stalled",
-//       LogFields().Num("age_us", age).Int("depth", depth));
+//       support::JsonObject().Num("age_us", age).Int("depth", depth));
 #ifndef ALCOP_OBS_LOG_H_
 #define ALCOP_OBS_LOG_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "support/json.h"
 
 namespace alcop {
 namespace obs {
@@ -41,24 +43,6 @@ enum class LogLevel : int {
 // "warning"). Anything else returns `fallback`.
 LogLevel ParseLogLevel(const std::string& text, LogLevel fallback);
 const char* LogLevelName(LogLevel level);
-
-// Fluent builder for the extra-field fragment of a log line. Each call
-// appends `,"key":value`; Json() returns the accumulated fragment ready
-// to splice before the closing brace.
-class LogFields {
- public:
-  LogFields& Str(const std::string& key, const std::string& value);
-  LogFields& Num(const std::string& key, double value);
-  LogFields& Int(const std::string& key, int64_t value);
-  LogFields& Uint(const std::string& key, uint64_t value);
-  LogFields& Bool(const std::string& key, bool value);
-  // Splices `json` (an already-valid JSON value) verbatim.
-  LogFields& Raw(const std::string& key, const std::string& json);
-  const std::string& Json() const { return fragment_; }
-
- private:
-  std::string fragment_;
-};
 
 // Process-wide structured logger. All methods are thread-safe.
 class StructuredLog {
@@ -82,11 +66,11 @@ class StructuredLog {
   bool OpenFile(const std::string& path);
   void CloseFile();
 
-  // Emits one line if `level` clears the threshold. `fields` is a
-  // LogFields fragment (or "" for none); `component` and `message` are
-  // escaped, the fragment is spliced verbatim.
+  // Emits one line if `level` clears the threshold; `fields` follow
+  // "msg" in the order they were added.
   void Write(LogLevel level, const std::string& component,
-             const std::string& message, const std::string& fields = "");
+             const std::string& message,
+             const support::JsonObject& fields = {});
 
   // Up to `n` most recent retained lines, oldest first.
   std::vector<std::string> Recent(size_t n) const;
@@ -105,7 +89,8 @@ class StructuredLog {
 
 // Convenience wrapper over StructuredLog::Global().Write().
 void Log(LogLevel level, const std::string& component,
-         const std::string& message, const LogFields& fields = LogFields());
+         const std::string& message,
+         const support::JsonObject& fields = {});
 
 }  // namespace obs
 }  // namespace alcop

@@ -128,6 +128,19 @@ double HistogramQuantile(const HistogramData& data, double q) {
   return upper;
 }
 
+std::string LatencySummaryJson(const HistogramData& data) {
+  double mean =
+      data.count == 0 ? 0.0 : data.sum / static_cast<double>(data.count);
+  return support::JsonObject()
+      .Uint("count", data.count)
+      .Num("mean_us", mean)
+      .Num("p50_us", HistogramQuantile(data, 0.5))
+      .Num("p99_us", HistogramQuantile(data, 0.99))
+      .Num("p999_us", HistogramQuantile(data, 0.999))
+      .Num("max_us", data.max)
+      .Object();
+}
+
 void Histogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

@@ -99,6 +99,12 @@ class Histogram {
 // inside the bucket, clamped to the observed max. 0 when empty.
 double HistogramQuantile(const HistogramData& data, double q);
 
+// A latency histogram in microseconds as one compact JSON object:
+// {"count","mean_us","p50_us","p99_us","p999_us","max_us"}. The daemon's
+// `stats` reply and `alcop_cli cache stats --json` summarize each lane
+// with it.
+std::string LatencySummaryJson(const HistogramData& data);
+
 // One registry entry as seen by a dump or the Prometheus exporter.
 // `name` is the full registered name, which by convention may carry
 // `|key=value` label suffixes (e.g. "serving.request.latency.us|lane=fast");

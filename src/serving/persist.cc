@@ -415,6 +415,16 @@ std::string DefaultCachePath() {
   return std::string(dir) + "/sim_cache.alcp";
 }
 
+support::JsonObject PersistStatsJson(const PersistStats& stats) {
+  return support::JsonObject()
+      .Uint("bytes", stats.bytes)
+      .Uint("timings", stats.timings)
+      .Uint("programs", stats.programs)
+      .Uint("skeletons", stats.skeletons)
+      .Uint("tunings", stats.tunings)
+      .Uint("skipped", stats.skipped);
+}
+
 PersistStats SaveCache(const std::string& path, const target::GpuSpec& spec) {
   PersistStats stats;
   if (path.empty()) {

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <string>
 
+#include "support/json.h"
 #include "target/gpu_spec.h"
 
 namespace alcop {
@@ -70,6 +71,11 @@ struct PersistStats {
   uint64_t tunings = 0;
   uint64_t skipped = 0;  // corrupt/unknown frames skipped on load
 };
+
+// The counts of `stats` as JSON members, in the order the daemon's
+// persist/load reply and `alcop_cli cache persist|load --json` print
+// them: bytes, timings, programs, skeletons, tunings, skipped.
+support::JsonObject PersistStatsJson(const PersistStats& stats);
 
 // Serializes the current sim-cache snapshot (both layers) and the global
 // TuningStore. Creates the parent directory if needed.

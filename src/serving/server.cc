@@ -46,7 +46,7 @@
 namespace alcop {
 namespace serving {
 
-using support::JsonEscape;
+using support::JsonObject;
 
 namespace {
 
@@ -164,11 +164,20 @@ struct Request {
   std::string op_key;
 };
 
-std::string ErrorResponse(int64_t id, const std::string& message) {
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"ok\":false,\"error\":\""
-      << JsonEscape(message) << "\"}";
-  return out.str();
+// Every successful reply opens with the request's id and "ok":true.
+JsonObject Reply(const Request& request) {
+  return JsonObject().Int("id", request.id).Bool("ok", true);
+}
+
+// The one ok:false reply. It marks the request's outcome "error", which
+// its flight record, access-log line and per-client error count read.
+std::string ErrorResponse(Request& request, const std::string& message) {
+  request.outcome = "error";
+  return JsonObject()
+      .Int("id", request.id)
+      .Bool("ok", false)
+      .Str("error", message)
+      .Object();
 }
 
 // Bounds for integer request fields. Client ids and debug counts may be
@@ -377,16 +386,17 @@ bool ParseRequest(const JsonValue& root, const ServerOptions& options,
   return true;
 }
 
-void AppendTimingJson(std::ostringstream* out, const sim::KernelTiming& t) {
-  (*out) << "\"feasible\":" << (t.feasible ? "true" : "false");
+void AddTiming(JsonObject* out, const sim::KernelTiming& t) {
+  out->Bool("feasible", t.feasible);
   if (!t.feasible) {
-    (*out) << ",\"reason\":\"" << JsonEscape(t.reason) << "\"";
+    out->Str("reason", t.reason);
     return;
   }
-  (*out) << ",\"cycles\":" << t.cycles << ",\"microseconds\":"
-         << t.microseconds << ",\"tflops\":" << t.tflops
-         << ",\"threadblocks_per_sm\":" << t.threadblocks_per_sm
-         << ",\"batches\":" << t.batches;
+  out->Num("cycles", t.cycles)
+      .Num("microseconds", t.microseconds)
+      .Num("tflops", t.tflops)
+      .Int("threadblocks_per_sm", t.threadblocks_per_sm)
+      .Int("batches", t.batches);
 }
 
 obs::Counter& ServingCounter(const char* name) {
@@ -706,35 +716,19 @@ struct Server::Impl {
   // a flattened metrics snapshot, as one error-level structured-log line
   // (ring-buffered for /debug/log, mirrored to any file sink).
   void EmitStallDump(const char* lane, double age_us, size_t depth) {
-    obs::LogFields fields;
+    JsonObject fields;
     fields.Str("lane", lane)
         .Num("oldest_age_us", age_us)
         .Uint("queue_depth", depth)
         .Num("inflight", inflight_gauge->Value())
         .Uint("requests", served.load(std::memory_order_relaxed));
-    if (flight != nullptr) {
-      std::string tail = "[";
-      bool first = true;
-      for (const obs::RequestRecord& rec : flight->Snapshot(8)) {
-        if (!first) tail += ",";
-        first = false;
-        tail += obs::RequestRecordJson(rec);
-      }
-      tail += "]";
-      fields.Raw("flight_tail", tail);
-    }
-    std::string metrics = "{";
-    bool first = true;
+    if (flight != nullptr) fields.Raw("flight_tail", RecordsJson(8, {}));
+    JsonObject metrics;
     for (const auto& [name, value] :
          obs::FlattenSnapshot(obs::Registry::Global().Snapshot())) {
-      if (!first) metrics += ",";
-      first = false;
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.17g", value);
-      metrics += "\"" + name + "\":" + buf;
+      metrics.Num(name, value);
     }
-    metrics += "}";
-    fields.Raw("metrics", metrics);
+    fields.Raw("metrics", metrics.Object());
     obs::Log(obs::LogLevel::kError, "serving",
              std::string("watchdog: ") + lane + " lane stalled", fields);
   }
@@ -810,17 +804,21 @@ struct Server::Impl {
               : std::max<int64_t>(0, static_cast<int64_t>(stats.budget_bytes) -
                                          static_cast<int64_t>(
                                              stats.resident_bytes));
-      std::ostringstream body;
-      body.precision(17);
-      body << "{\"ok\":true,\"uptime_seconds\":"
-           << static_cast<double>(obs::NowNanos() - start_ns) / 1e9
-           << ",\"inflight\":" << inflight_gauge->Value()
-           << ",\"requests\":" << served.load(std::memory_order_relaxed)
-           << ",\"cache\":{\"resident_bytes\":" << stats.resident_bytes
-           << ",\"budget_bytes\":" << stats.budget_bytes
-           << ",\"headroom_bytes\":" << headroom << "}}\n";
+      std::string body =
+          JsonObject()
+              .Bool("ok", true)
+              .Num("uptime_seconds",
+                   static_cast<double>(obs::NowNanos() - start_ns) / 1e9)
+              .Num("inflight", inflight_gauge->Value())
+              .Uint("requests", served.load(std::memory_order_relaxed))
+              .Raw("cache", JsonObject()
+                                .Uint("resident_bytes", stats.resident_bytes)
+                                .Uint("budget_bytes", stats.budget_bytes)
+                                .Int("headroom_bytes", headroom)
+                                .Object())
+              .Object();
       conn->SendRaw(FormatHttpResponse(
-          200, "application/json", body.str(),
+          200, "application/json", body + "\n",
           {{"X-Cache-Headroom-Bytes", std::to_string(headroom)}}, keep));
       return keep;
     }
@@ -853,22 +851,26 @@ struct Server::Impl {
     return static_cast<size_t>(n);
   }
 
+  // Up to `n` matching flight records, most recent first, as a JSON
+  // array.
+  std::string RecordsJson(size_t n, const obs::FlightRecorder::Filter& filter) {
+    std::vector<std::string> records;
+    if (flight != nullptr) {
+      for (const obs::RequestRecord& rec : flight->Snapshot(n, filter)) {
+        records.push_back(obs::RequestRecordJson(rec));
+      }
+    }
+    return support::JsonArray(records);
+  }
+
   // `{"requests":[...most recent first...],"total_recorded":N}`.
   std::string DebugRequestsJson(size_t n, const obs::FlightRecorder::Filter&
                                               filter) {
-    std::ostringstream out;
-    out << "{\"requests\":[";
-    if (flight != nullptr) {
-      bool first = true;
-      for (const obs::RequestRecord& rec : flight->Snapshot(n, filter)) {
-        if (!first) out << ",";
-        first = false;
-        out << obs::RequestRecordJson(rec);
-      }
-    }
-    out << "],\"total_recorded\":"
-        << (flight == nullptr ? 0 : flight->total_recorded()) << "}";
-    return out.str();
+    return JsonObject()
+        .Raw("requests", RecordsJson(n, filter))
+        .Uint("total_recorded",
+              flight == nullptr ? 0 : flight->total_recorded())
+        .Object();
   }
 
   // Drains the span rings as a Chrome/Perfetto trace snapshot.
@@ -882,17 +884,11 @@ struct Server::Impl {
 
   // `{"lines":[...oldest first...]}`; each line is itself a JSON object.
   static std::string DebugLogJson(size_t n) {
-    std::ostringstream out;
-    out << "{\"lines\":[";
-    bool first = true;
-    for (const std::string& line : obs::StructuredLog::Global().Recent(n)) {
-      if (!first) out << ",";
-      first = false;
-      out << line;
-    }
-    out << "],\"total\":" << obs::StructuredLog::Global().total_lines()
-        << "}";
-    return out.str();
+    obs::StructuredLog& log = obs::StructuredLog::Global();
+    return JsonObject()
+        .Raw("lines", support::JsonArray(log.Recent(n)))
+        .Uint("total", log.total_lines())
+        .Object();
   }
 
   // `what` is the path tail ("requests", "trace", "log");
@@ -933,16 +929,16 @@ struct Server::Impl {
     inflight_gauge->Add(1.0);
     // A refused request is answered here, on the IO thread, with no
     // queue wait.
-    auto refuse = [&](int64_t id, const std::string& message) {
+    auto refuse = [&](const std::string& message) {
       request.dequeue_ns = request.arrival_ns;
-      Complete(request, ErrorResponse(id, message));
+      Complete(request, ErrorResponse(request, message));
     };
     std::optional<JsonValue> body = ParseJson(payload);
     if (!body.has_value()) {
       if (client_override != nullptr) {
         request.client = SanitizeClient(client_override);
       }
-      refuse(0, "malformed JSON");
+      refuse("malformed JSON");
       return;
     }
     const JsonValue* method = body->Find("method");
@@ -961,13 +957,13 @@ struct Server::Impl {
     std::string err;
     if (id != nullptr &&
         !IntegerField(*id, "id", 0, kMaxExactInteger, &request.id, &err)) {
-      refuse(0, err);
+      refuse(err);
       return;
     }
     bool parsed = ParseRequest(*body, options, &request, &err);
     request.op_key = request.op.name;
     if (!parsed) {
-      refuse(request.id, err);
+      refuse(err);
       return;
     }
     if (Route(request)) {
@@ -994,9 +990,6 @@ struct Server::Impl {
         static_cast<double>(request.dequeue_ns - request.arrival_ns) / 1e3;
     double service_us =
         static_cast<double>(end_ns - request.dequeue_ns) / 1e3;
-    if (payload.find("\"ok\":false") != std::string::npos) {
-      request.outcome = "error";
-    }
     LaneStats& lane = fast ? fast_stats : slow_stats;
     lane.queue_wait->Observe(queue_us);
     lane.service->Observe(service_us);
@@ -1100,14 +1093,12 @@ struct Server::Impl {
     }
   }
 
-  std::string HandleFast(const Request& request) {
+  std::string HandleFast(Request& request) {
     switch (request.kind) {
       case Method::kPing:
-        return "{\"id\":" + std::to_string(request.id) +
-               ",\"ok\":true,\"pong\":true}";
+        return Reply(request).Bool("pong", true).Object();
       case Method::kShutdown:
-        return "{\"id\":" + std::to_string(request.id) +
-               ",\"ok\":true,\"stopping\":true}";
+        return Reply(request).Bool("stopping", true).Object();
       case Method::kStats:
         return HandleStats(request);
       case Method::kDebug:
@@ -1122,116 +1113,96 @@ struct Server::Impl {
       case Method::kProfile:
         break;  // never routed here
     }
-    return ErrorResponse(request.id, "profile runs on the slow lane");
+    return ErrorResponse(request, "profile runs on the slow lane");
   }
 
   // Socket-side mirror of GET /debug/*: {"method":"debug","what":...}
   // with the same optional n/client/lane/outcome parameters.
-  std::string HandleDebug(const Request& request) {
+  std::string HandleDebug(Request& request) {
     std::string body;
     if (!HandleDebugQuery(request.debug_what, request.debug_params, &body)) {
-      return ErrorResponse(request.id,
+      return ErrorResponse(request,
                            "unknown debug view \"" + request.debug_what + "\"");
     }
-    std::ostringstream out;
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"what\":\""
-        << JsonEscape(request.debug_what) << "\",\"result\":" << body << "}";
-    return out.str();
+    return Reply(request)
+        .Str("what", request.debug_what)
+        .Raw("result", body)
+        .Object();
   }
 
-  // Per-lane latency summary from the request histograms: the socket
-  // `stats` method and `cache stats --json` surface the same numbers an
-  // HTTP scraper computes from the exposition buckets.
-  static void AppendLaneLatency(std::ostringstream* out, const char* lane,
-                                const LaneStats& stats) {
-    obs::HistogramData data = stats.latency->Data();
-    (*out) << "\"" << lane << "\":{\"count\":" << data.count << ",\"mean_us\":"
-           << (data.count == 0 ? 0.0
-                               : data.sum / static_cast<double>(data.count))
-           << ",\"p50_us\":" << obs::HistogramQuantile(data, 0.5)
-           << ",\"p99_us\":" << obs::HistogramQuantile(data, 0.99)
-           << ",\"p999_us\":" << obs::HistogramQuantile(data, 0.999)
-           << ",\"max_us\":" << data.max << "}";
-  }
-
+  // Per-lane latency comes from the request histograms, so the socket
+  // `stats` method surfaces the same numbers an HTTP scraper computes
+  // from the exposition buckets.
   std::string HandleStats(const Request& request) {
     sim::SimCacheStats stats = sim::GetSimCacheStats();
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true"
-        << ",\"timing_hits\":" << stats.hits
-        << ",\"timing_misses\":" << stats.misses
-        << ",\"timing_entries\":" << stats.entries
-        << ",\"program_entries\":" << stats.program_entries
-        << ",\"program_skeletons\":" << stats.program_skeletons
-        << ",\"resident_bytes\":" << stats.resident_bytes
-        << ",\"budget_bytes\":" << stats.budget_bytes
-        << ",\"evictions\":" << stats.evictions
-        << ",\"disk_hits\":" << stats.disk_hits
-        << ",\"disk_misses\":" << stats.disk_misses
-        << ",\"disk_load_bytes\":" << stats.disk_load_bytes
-        << ",\"stored_tunings\":" << tuner::TuningStore::Global().Size()
-        << ",\"requests\":" << served.load(std::memory_order_relaxed)
-        << ",\"inflight\":" << inflight_gauge->Value() << ",\"latency\":{";
-    AppendLaneLatency(&out, "fast", fast_stats);
-    out << ",";
-    AppendLaneLatency(&out, "slow", slow_stats);
-    out << "}}";
-    return out.str();
+    return Reply(request)
+        .Uint("timing_hits", stats.hits)
+        .Uint("timing_misses", stats.misses)
+        .Uint("timing_entries", stats.entries)
+        .Uint("program_entries", stats.program_entries)
+        .Uint("program_skeletons", stats.program_skeletons)
+        .Uint("resident_bytes", stats.resident_bytes)
+        .Uint("budget_bytes", stats.budget_bytes)
+        .Uint("evictions", stats.evictions)
+        .Uint("disk_hits", stats.disk_hits)
+        .Uint("disk_misses", stats.disk_misses)
+        .Uint("disk_load_bytes", stats.disk_load_bytes)
+        .Uint("stored_tunings", tuner::TuningStore::Global().Size())
+        .Uint("requests", served.load(std::memory_order_relaxed))
+        .Num("inflight", inflight_gauge->Value())
+        .Raw("latency",
+             JsonObject()
+                 .Raw("fast",
+                      obs::LatencySummaryJson(fast_stats.latency->Data()))
+                 .Raw("slow",
+                      obs::LatencySummaryJson(slow_stats.latency->Data()))
+                 .Object())
+        .Object();
   }
 
-  std::string HandlePersist(const Request& request) {
+  std::string HandlePersist(Request& request) {
     PersistStats stats = request.kind == Method::kPersist
                              ? SaveCache(request.path, options.spec)
                              : LoadCache(request.path, options.spec);
-    if (!stats.ok) return ErrorResponse(request.id, stats.error);
-    std::ostringstream out;
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"path\":\""
-        << JsonEscape(request.path) << "\",\"bytes\":" << stats.bytes
-        << ",\"timings\":" << stats.timings
-        << ",\"programs\":" << stats.programs
-        << ",\"skeletons\":" << stats.skeletons
-        << ",\"tunings\":" << stats.tunings
-        << ",\"skipped\":" << stats.skipped << "}";
-    return out.str();
+    if (!stats.ok) return ErrorResponse(request, stats.error);
+    return Reply(request)
+        .Str("path", request.path)
+        .Append(PersistStatsJson(stats))
+        .Object();
   }
 
   // Warm-restart tune: routing found a finished search for this exact
   // op_key in the store; answer from it in microseconds.
-  static std::string StoredTuneResponse(const Request& request) {
+  static std::string StoredTuneResponse(Request& request) {
     const tuner::StoredTuning& stored = *request.stored;
     std::optional<tuner::StoredTrial> best = stored.Best();
     if (!best.has_value()) {
-      return ErrorResponse(request.id, "stored tuning has no feasible trial");
+      return ErrorResponse(request, "stored tuning has no feasible trial");
     }
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"op_key\":\""
-        << JsonEscape(stored.op_key) << "\",\"source\":\"store\""
-        << ",\"best_config\":\"" << JsonEscape(best->config.ToString())
-        << "\",\"best_cycles\":" << best->cycles
-        << ",\"trials\":" << stored.trials.size() << "}";
-    return out.str();
+    return Reply(request)
+        .Str("op_key", stored.op_key)
+        .Str("source", "store")
+        .Str("best_config", best->config.ToString())
+        .Num("best_cycles", best->cycles)
+        .Uint("trials", stored.trials.size())
+        .Object();
   }
 
   // A compile or profile answer from its timing; `profile` adds the PMU
   // counters of one more replay of the (now cached) program.
   std::string TimingResponse(const Request& request,
                              const sim::KernelTiming& timing) {
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,";
-    AppendTimingJson(&out, timing);
+    JsonObject out = Reply(request);
+    AddTiming(&out, timing);
     if (request.kind == Method::kProfile && timing.feasible) {
       sim::KernelPmu pmu;
       sim::ReplayArena arena;
       sim::ReplaySimProgram(
           *sim::CachedSimProgram(request.op, request.config, options.spec),
           &arena, &pmu);
-      out << ",\"pmu\":" << sim::PmuToJson(pmu);
+      out.Raw("pmu", sim::PmuToJson(pmu));
     }
-    out << "}";
-    return out.str();
+    return out.Object();
   }
 
   // ---------------------------------------------------------------------
@@ -1296,12 +1267,12 @@ struct Server::Impl {
     return TimingResponse(request, timing);
   }
 
-  std::string HandleTune(const Request& request) {
+  std::string HandleTune(Request& request) {
     const schedule::GemmOp& op = request.op;
     tuner::TuningTask task =
         tuner::MakeSimulatorTask(op, options.spec, options.space);
     if (task.space.empty()) {
-      return ErrorResponse(request.id, "empty schedule space for op");
+      return ErrorResponse(request, "empty schedule space for op");
     }
     tuner::XgbOptions xgb;
     xgb.pretrain_with_analytical = true;
@@ -1318,19 +1289,17 @@ struct Server::Impl {
     tuner::StoreTuning(task, result, tuner::TuningStore::Global());
     size_t best = result.BestIndex(task);
     if (best >= task.space.size()) {
-      return ErrorResponse(request.id, "no feasible schedule found");
+      return ErrorResponse(request, "no feasible schedule found");
     }
-    double best_cycles = result.BestInFirstK(result.trials.size());
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"id\":" << request.id << ",\"ok\":true,\"op_key\":\""
-        << JsonEscape(tuner::OpKey(op)) << "\",\"source\":\"search\""
-        << ",\"best_config\":\"" << JsonEscape(task.space[best].ToString())
-        << "\",\"best_cycles\":" << best_cycles
-        << ",\"trials\":" << result.trials.size() << ",\"warm_source\":\""
-        << JsonEscape(warm_start.source_op_key) << "\",\"warm_seeds\":"
-        << warm_start.seeds.size() << "}";
-    return out.str();
+    return Reply(request)
+        .Str("op_key", tuner::OpKey(op))
+        .Str("source", "search")
+        .Str("best_config", task.space[best].ToString())
+        .Num("best_cycles", result.BestInFirstK(result.trials.size()))
+        .Uint("trials", result.trials.size())
+        .Str("warm_source", warm_start.source_op_key)
+        .Uint("warm_seeds", warm_start.seeds.size())
+        .Object();
   }
 
   // ---------------------------------------------------------------------
@@ -1551,7 +1520,7 @@ bool Server::Start(std::string* error) {
     PersistStats loaded = LoadCache(impl.options.cache_path,
                                     impl.options.spec);  // best-effort
     obs::Log(obs::LogLevel::kInfo, "serving", "cache load",
-             obs::LogFields()
+             JsonObject()
                  .Str("path", impl.options.cache_path)
                  .Bool("ok", loaded.ok)
                  .Uint("bytes", loaded.ok ? loaded.bytes : 0));
@@ -1562,7 +1531,7 @@ bool Server::Start(std::string* error) {
   impl.slow_thread = std::thread([&impl] { impl.SlowLoop(); });
   impl.started = true;
   obs::Log(obs::LogLevel::kInfo, "serving", "started",
-           obs::LogFields()
+           JsonObject()
                .Str("socket", impl.options.socket_path)
                .Int("http_port", impl.http_listen_fd >= 0
                                      ? impl.bound_http_port
@@ -1612,14 +1581,14 @@ void Server::Stop() {
     PersistStats saved =
         SaveCache(impl.options.cache_path, impl.options.spec);  // best-effort
     obs::Log(obs::LogLevel::kInfo, "serving", "cache save",
-             obs::LogFields()
+             JsonObject()
                  .Str("path", impl.options.cache_path)
                  .Bool("ok", saved.ok)
                  .Uint("bytes", saved.ok ? saved.bytes : 0));
   }
   obs::SetTraceEnabled(impl.prev_trace_enabled);
   obs::Log(obs::LogLevel::kInfo, "serving", "stopped",
-           obs::LogFields().Uint(
+           JsonObject().Uint(
                "requests", impl.served.load(std::memory_order_relaxed)));
   impl.started = false;
 }

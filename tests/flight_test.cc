@@ -28,6 +28,7 @@
 #include "serving/protocol.h"
 #include "serving/server.h"
 #include "sim/sim_cache.h"
+#include "support/json.h"
 #include "target/gpu_spec.h"
 #include "tuner/records.h"
 
@@ -203,7 +204,7 @@ TEST(StructuredLogTest, LevelGatesRingRetainsAndLinesParse) {
   EXPECT_EQ(log.total_lines(), 0u);
 
   obs::Log(obs::LogLevel::kWarn, "test", "kept \"quoted\"",
-           obs::LogFields()
+           support::JsonObject()
                .Str("who", "a\\b")
                .Num("age_us", 12.5)
                .Int("depth", -3)
@@ -537,6 +538,65 @@ TEST_F(FlightServerTest, WatchdogTripsOnStalledSlowLaneAndDumps) {
   EXPECT_TRUE(saw_dump);
 
   server.Stop();
+}
+
+// The handler that answers ok:false marks the request an error: a refusal
+// on the IO thread and an error from a lane both record outcome "error",
+// while a successful reply that only quotes "ok":false (a retained log
+// line) records "ok". The flight recorder and the access log agree.
+TEST_F(FlightServerTest, OutcomeComesFromTheHandlerNotTheReplyText) {
+  options_.access_log_path = access_log_path_;
+  options_.http_port = 0;
+  obs::StructuredLog& log = obs::StructuredLog::Global();
+  obs::LogLevel saved = log.level();
+  log.SetLevel(obs::LogLevel::kInfo);
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  obs::Log(obs::LogLevel::kInfo, "test", "a line quoting a failure",
+           support::JsonObject().Bool("ok", false));
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  std::optional<JsonValue> refused =
+      client.Call(R"({"id":1,"method":"compile","m":512})");
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_FALSE(refused->Find("ok")->BoolOr(true));
+  std::optional<JsonValue> lane_error =
+      client.Call(R"({"id":2,"method":"debug","what":"nope"})");
+  ASSERT_TRUE(lane_error.has_value());
+  EXPECT_FALSE(lane_error->Find("ok")->BoolOr(true));
+  std::optional<std::string> quoting =
+      client.CallRaw(R"({"id":3,"method":"debug","what":"log","n":10})");
+  ASSERT_TRUE(quoting.has_value());
+  EXPECT_NE(quoting->find(R"("ok":false)"), std::string::npos) << *quoting;
+  EXPECT_EQ(quoting->rfind(R"({"id":3,"ok":true,)", 0), 0u) << *quoting;
+
+  std::optional<serving::HttpResponse> requests =
+      serving::HttpCall(server.http_port(), "GET", "/debug/requests?n=10");
+  ASSERT_TRUE(requests.has_value());
+  server.Stop();
+  log.SetLevel(saved);
+
+  const std::map<int, std::string> expected = {
+      {1, "error"}, {2, "error"}, {3, "ok"}};
+  std::optional<JsonValue> doc = ParseJson(requests->body);
+  ASSERT_TRUE(doc.has_value()) << requests->body;
+  std::map<int, std::string> flight;
+  for (const JsonValue& rec : doc->Find("requests")->array) {
+    flight[static_cast<int>(rec.Find("client_id")->NumberOr(-1))] =
+        rec.Find("outcome")->StringOr("");
+  }
+  EXPECT_EQ(flight, expected);
+  std::ifstream access(access_log_path_);
+  std::map<int, std::string> logged;
+  std::string line;
+  while (std::getline(access, line)) {
+    std::optional<JsonValue> rec = ParseJson(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    logged[static_cast<int>(rec->Find("client_id")->NumberOr(-1))] =
+        rec->Find("outcome")->StringOr("");
+  }
+  EXPECT_EQ(logged, expected);
 }
 
 TEST_F(FlightServerTest, AccessLogAndFlightAgreeUnderConcurrentClients) {

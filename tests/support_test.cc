@@ -1,10 +1,15 @@
-// Tests of the support utilities (checking macros, RNG) and the GPU
-// target specs.
+// Tests of the support utilities (checking macros, RNG, the JSON object
+// builder) and the GPU target specs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <set>
 
+#include "serving/protocol.h"
 #include "support/check.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "target/gpu_spec.h"
 
@@ -82,6 +87,73 @@ TEST(RngTest, ShuffleIsAPermutation) {
   std::multiset<int> a(values.begin(), values.end());
   std::multiset<int> b(shuffled.begin(), shuffled.end());
   EXPECT_EQ(a, b);
+}
+
+TEST(JsonObjectTest, EscapesKeysAndStrings) {
+  EXPECT_EQ(support::JsonObject()
+                .Str("s", "q\"b\\t\tr\rn\nc\x01")
+                .Str("k\"ey", "")
+                .Object(),
+            R"({"s":"q\"b\\t\tr\rn\nc\u0001","k\"ey":""})");
+}
+
+TEST(JsonObjectTest, NonFiniteNumbersPrintAsNull) {
+  double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(support::JsonObject()
+                .Num("nan", std::numeric_limits<double>::quiet_NaN())
+                .Num("pos", inf)
+                .Num("neg", -inf)
+                .Num("third", 1.0 / 3.0)
+                .Num("whole", 3.0)
+                .Object(),
+            R"({"nan":null,"pos":null,"neg":null,)"
+            R"("third":0.33333333333333331,"whole":3})");
+}
+
+TEST(JsonObjectTest, IntegersPrintExactlyAtTheirLimits) {
+  EXPECT_EQ(support::JsonObject()
+                .Int("min", std::numeric_limits<int64_t>::min())
+                .Int("max", std::numeric_limits<int64_t>::max())
+                .Uint("umax", std::numeric_limits<uint64_t>::max())
+                .Bool("yes", true)
+                .Bool("no", false)
+                .Object(),
+            R"({"min":-9223372036854775808,"max":9223372036854775807,)"
+            R"("umax":18446744073709551615,"yes":true,"no":false})");
+}
+
+TEST(JsonObjectTest, RawNestsAndAppendSplicesMembers) {
+  EXPECT_EQ(support::JsonObject().Object(), "{}");
+  std::string inner = support::JsonObject().Int("a", 1).Object();
+  EXPECT_EQ(support::JsonObject()
+                .Raw("empty", support::JsonObject().Object())
+                .Raw("inner", inner)
+                .Raw("list", support::JsonArray({inner, "[]", "2"}))
+                .Raw("none", support::JsonArray({}))
+                .Object(),
+            R"({"empty":{},"inner":{"a":1},"list":[{"a":1},[],2],"none":[]})");
+  support::JsonObject tail;
+  tail.Str("b", "x");
+  EXPECT_EQ(support::JsonObject().Int("a", 1).Append(tail).Object(),
+            R"({"a":1,"b":"x"})");
+  EXPECT_EQ(support::JsonObject().Append(tail).Object(), R"({"b":"x"})");
+}
+
+TEST(JsonObjectTest, RoundTripsThroughTheProtocolParser) {
+  std::string nasty = "a\"b\\c\nd\te\rf\x01g";
+  std::string json =
+      support::JsonObject()
+          .Str("s", nasty)
+          .Num("x", 1234.5678901234567)
+          .Int("i", -(int64_t{1} << 53))
+          .Raw("o", support::JsonObject().Bool("t", true).Object())
+          .Object();
+  std::optional<serving::JsonValue> parsed = serving::ParseJson(json);
+  ASSERT_TRUE(parsed.has_value()) << json;
+  EXPECT_EQ(parsed->Find("s")->StringOr(""), nasty);
+  EXPECT_EQ(parsed->Find("x")->NumberOr(0), 1234.5678901234567);
+  EXPECT_EQ(parsed->Find("i")->NumberOr(0), -9007199254740992.0);
+  EXPECT_TRUE(parsed->Find("o")->Find("t")->BoolOr(false));
 }
 
 TEST(GpuSpecTest, AmpereAsyncCapabilityTable) {
