@@ -9,8 +9,9 @@
 #   --quick      stride the schedule space 16x (the CI perf-smoke mode)
 #   output.json  where to write the result (default: ./BENCH_sim.json)
 #
-# Exit status is the bench's own: nonzero only when determinism or the
-# zero-allocation gate fails — never because of wall time.
+# Exit status is the bench's own: nonzero only when determinism, the
+# zero-allocation gate, or a program-size gate (bytes per config, ops
+# flat in K) fails — never because of wall time.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -55,10 +56,13 @@ def pick(doc, *path):
 rate_n, rate_o = (pick(d, "replay_configs_per_sec") for d in (new, old))
 gain_n, gain_o = (pick(d, "cache", "skeleton_sharing_gain") for d in (new, old))
 bpc_n, bpc_o = (pick(d, "cache", "bytes_per_config") for d in (new, old))
+unsh_n, unsh_o = (pick(d, "cache", "bytes_per_config_unshared")
+                  for d in (new, old))
 ratio = rate_n / rate_o if rate_o else float("inf")
 print(f"delta vs HEAD: replay {rate_o:.0f} -> {rate_n:.0f} configs/s "
       f"({ratio:.2f}x), sharing gain {gain_o:.2f} -> {gain_n:.2f}, "
-      f"bytes/config {bpc_o:.0f} -> {bpc_n:.0f}")
+      f"bytes/config {bpc_o:.0f} -> {bpc_n:.0f} "
+      f"(unshared {unsh_o:.0f} -> {unsh_n:.0f})")
 EOF
   rm -f "$OUT.base"
 fi

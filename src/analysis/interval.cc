@@ -296,7 +296,7 @@ bool Eval(const Expr& e, const std::vector<VarRange>& ranges, Info* out) {
       for (const VarRange& r : ranges) {
         if (r.var == var) {
           if (r.extent <= 0) return false;
-          out->iv = Interval{0, r.extent - 1, 1, true};
+          out->iv = Interval{r.lo, r.lo + r.extent - 1, 1, true};
           out->vars = {var};
           return true;
         }

@@ -26,10 +26,13 @@
 namespace alcop {
 namespace analysis {
 
-// Value range of one loop variable: the values {0, 1, ..., extent - 1}.
+// Value range of one loop variable: the values {lo, lo + 1, ...,
+// lo + extent - 1} (a whole loop when lo is 0, one iteration when extent
+// is 1).
 struct VarRange {
   const ir::VarNode* var = nullptr;
   int64_t extent = 0;
+  int64_t lo = 0;
 };
 
 struct Interval {

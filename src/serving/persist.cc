@@ -219,7 +219,10 @@ void WriteSkeleton(Writer* w, uint64_t id, const sim::MicroOpSkeleton& s) {
   }
 }
 
-bool ReadSkeleton(Reader* r, uint64_t* id, sim::MicroOpSkeleton* s) {
+// Reads a skeleton record; on failure `why` says what was wrong with it.
+bool ReadSkeleton(Reader* r, uint64_t* id, sim::MicroOpSkeleton* s,
+                  std::string* why) {
+  *why = "truncated skeleton record";
   uint8_t blocking = 0;
   uint32_t ops = 0;
   if (!(r->U64(id) && r->I32(&s->num_warps) && r->U8(&blocking) &&
@@ -246,7 +249,18 @@ bool ReadSkeleton(Reader* r, uint64_t* id, sim::MicroOpSkeleton* s) {
   // A skeleton whose recomputed structural hash disagrees with the stored
   // one is corrupt in a way the frame checksum happened to miss (or was
   // written by a different hash function); treat as unparseable.
-  return sim::SkeletonHash(*s) == s->hash;
+  if (sim::SkeletonHash(*s) != s->hash) {
+    *why = "skeleton hash mismatch";
+    return false;
+  }
+  // Replay trusts the skeleton's structure (spans, group ids, loop
+  // markers, commit counts): refuse one that could crash or hang it.
+  *why = sim::CheckSkeleton(*s);
+  if (!why->empty()) {
+    *why = "malformed skeleton: " + *why;
+    return false;
+  }
+  return true;
 }
 
 void WriteProgram(Writer* w, const std::string& key, uint64_t skeleton_id,
@@ -563,45 +577,59 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
     return stats;
   }
 
-  std::unordered_map<uint64_t, std::shared_ptr<const sim::MicroOpSkeleton>>
-      skeletons;
+  // Loaded skeletons by file-local id, with the pool rows each reads.
+  struct LoadedSkeleton {
+    std::shared_ptr<const sim::MicroOpSkeleton> skeleton;
+    int64_t pool_rows = 0;
+  };
+  std::unordered_map<uint64_t, LoadedSkeleton> skeletons;
+  // Counts a refused frame; the first refusal's reason is kept.
+  auto skip = [&stats](const std::string& why) {
+    if (stats.skipped++ == 0) stats.skip_reason = why;
+  };
   size_t pos = kHeaderBytes;
   while (pos < data.size()) {
     if (data.size() - pos < 8) {
-      ++stats.skipped;  // torn tail
+      skip("torn frame header");
       break;
     }
     uint32_t len = 0, checksum = 0;
     std::memcpy(&len, data.data() + pos, sizeof(len));
     std::memcpy(&checksum, data.data() + pos + 4, sizeof(checksum));
     if (len > data.size() - pos - 8) {
-      ++stats.skipped;  // frame truncated by a crash mid-append
+      skip("truncated frame");  // a crash mid-append
       break;
     }
     const char* payload = data.data() + pos + 8;
     pos += 8 + len;
     if (Fnv32(payload, len) != checksum) {
-      ++stats.skipped;  // corrupt frame; resync at the next one
+      skip("frame checksum mismatch");  // resync at the next frame
       continue;
     }
     Reader r(payload, len);
     uint8_t type = 0;
     if (!r.U8(&type)) {
-      ++stats.skipped;
+      skip("empty frame");
       continue;
     }
     switch (type) {
       case kSkeletonRecord: {
         uint64_t id = 0;
         sim::MicroOpSkeleton skeleton;
-        if (!ReadSkeleton(&r, &id, &skeleton) || id == 0) {
-          ++stats.skipped;
+        std::string why;
+        if (!ReadSkeleton(&r, &id, &skeleton, &why)) {
+          skip(why);
+          break;
+        }
+        if (id == 0) {
+          skip("skeleton record with id 0");
           break;
         }
         // Re-intern through the process-wide pool: if an equal skeleton
         // is already resident (e.g. warm process reloading), structure
         // sharing is preserved instead of duplicated.
-        skeletons[id] = sim::InternSkeleton(std::move(skeleton));
+        const int64_t pool_rows = sim::PoolRowsRead(skeleton);
+        skeletons[id] = {sim::InternSkeleton(std::move(skeleton)), pool_rows};
         ++stats.skeletons;
         break;
       }
@@ -610,16 +638,21 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
         uint64_t skeleton_id = 0;
         auto program = std::make_shared<sim::SimProgram>();
         if (!ReadProgram(&r, &key, &skeleton_id, program.get())) {
-          ++stats.skipped;
+          skip("truncated program record");
           break;
         }
         if (skeleton_id != 0) {
           auto it = skeletons.find(skeleton_id);
           if (it == skeletons.end()) {
-            ++stats.skipped;  // its skeleton frame was corrupt
+            skip("program references a missing skeleton");  // was refused
             break;
           }
-          program->program.skeleton = it->second;
+          if (static_cast<int64_t>(program->program.pool.size()) <
+              it->second.pool_rows) {
+            skip("program pool is shorter than its skeleton reads");
+            break;
+          }
+          program->program.skeleton = it->second.skeleton;
         }
         sim::InsertCachedProgram(
             key, std::shared_ptr<const sim::SimProgram>(std::move(program)));
@@ -630,7 +663,7 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
         std::string key;
         sim::KernelTiming timing;
         if (!ReadTiming(&r, &key, &timing)) {
-          ++stats.skipped;
+          skip("truncated timing record");
           break;
         }
         sim::InsertCachedTiming(key, timing);
@@ -640,7 +673,7 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
       case kTuningRecord: {
         tuner::StoredTuning tuning;
         if (!ReadTuning(&r, &tuning)) {
-          ++stats.skipped;
+          skip("truncated tuning record");
           break;
         }
         tuner::TuningStore::Global().Put(std::move(tuning));
@@ -648,7 +681,7 @@ PersistStats LoadCache(const std::string& path, const target::GpuSpec& spec) {
         break;
       }
       default:
-        ++stats.skipped;  // unknown record type from a newer minor writer
+        skip("unknown record type");  // from a newer minor writer
         break;
     }
   }

@@ -17,9 +17,11 @@
 // whole file — entries computed under different device numerics or
 // fitted model constants must never be silently reused. Within an
 // accepted file each frame stands alone: a bad checksum, an unknown
-// record type, or a truncated tail skips that frame (counted in
-// PersistStats::skipped) and the loader resyncs at the next frame —
-// load never crashes on a corrupt or torn file.
+// record type, a truncated tail, or a skeleton that fails
+// sim::CheckSkeleton skips that frame (counted in PersistStats::skipped,
+// the first reason kept in skip_reason) and the loader resyncs at the next
+// frame — load never crashes on a corrupt or torn file, and nothing it
+// loads can crash or hang replay.
 //
 // Records are skeleton-aware: each distinct interned MicroOpSkeleton is
 // written once with a file-local id, and programs reference it by id.
@@ -46,7 +48,8 @@ namespace alcop {
 namespace serving {
 
 inline constexpr uint32_t kPersistMagic = 0x50434C41;  // "ALCP", little-endian
-inline constexpr uint32_t kPersistVersion = 1;
+// Version 2: skeletons hold rolled loops (kLoopBegin/kLoopEnd micro-ops).
+inline constexpr uint32_t kPersistVersion = 2;
 
 // FNV-1a over every GpuSpec rate/limit that participates in the sim
 // cache key (the device numerics the cached values were computed under).
@@ -70,6 +73,7 @@ struct PersistStats {
   uint64_t skeletons = 0;
   uint64_t tunings = 0;
   uint64_t skipped = 0;  // corrupt/unknown frames skipped on load
+  std::string skip_reason;  // why the first skipped frame was refused
 };
 
 // The counts of `stats` as JSON members, in the order the daemon's

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/interval.h"
 #include "support/check.h"
 
 namespace alcop {
@@ -18,9 +19,9 @@ using namespace alcop::ir;  // NOLINT(build/namespaces) - compiler
 
 namespace {
 
-// Mirrors the trace builder's walk (trace.cc): same loop flattening, same
-// warp-range broadcast, same byte splitting — but emits pre-resolved
-// micro-ops instead of AST-shaped events.
+// Mirrors the trace builder's walk (trace.cc): same warp-range broadcast,
+// same byte splitting — but emits pre-resolved micro-ops instead of
+// AST-shaped events, and rolls outermost serial loops (see compile.h).
 class MicroOpCompiler {
  public:
   MicroOpCompiler(int num_warps, const target::GpuSpec& spec,
@@ -36,6 +37,8 @@ class MicroOpCompiler {
     lds_rate_ = spec.lds_bytes_per_cycle_per_sm /
                 (options.swizzle ? 1.0 : spec.bank_conflict_factor);
     warps_.resize(static_cast<size_t>(num_warps));
+    body_.resize(static_cast<size_t>(num_warps));
+    runs_.resize(static_cast<size_t>(num_warps));
   }
 
   MicroOpProgram Compile(const Stmt& program) {
@@ -51,13 +54,17 @@ class MicroOpCompiler {
       skeleton_.warp_begin.push_back(
           static_cast<uint32_t>(skeleton_.ops.size()));
     }
-    // Per-group commit counts (max over warps) size the replay arena's
-    // group slots exactly, so a run never grows them.
+    // Per-group commit counts (max over warps, each rolled body's commits
+    // times its trips) size the replay arena's group slots exactly, so a
+    // run never grows them.
     for (size_t w = 0; w < warps_.size(); ++w) {
       std::vector<int64_t> commits(skeleton_.groups.size(), 0);
+      int64_t trips = 1;
       for (const MicroOp& op : warps_[w]) {
+        if (op.kind == MicroOpKind::kLoopBegin) trips = op.aux;
+        if (op.kind == MicroOpKind::kLoopEnd) trips = 1;
         if (op.kind == MicroOpKind::kCommit) {
-          ++commits[static_cast<size_t>(op.group)];
+          commits[static_cast<size_t>(op.group)] += trips;
         }
       }
       for (size_t g = 0; g < commits.size(); ++g) {
@@ -105,8 +112,115 @@ class MicroOpCompiler {
   void Emit(const MicroOp& op) {
     WarpRange range = CurrentWarps();
     for (int w = range.begin; w < range.end; ++w) {
-      warps_[static_cast<size_t>(w)].push_back(op);
+      (*out_)[static_cast<size_t>(w)].push_back(op);
     }
+  }
+
+  // Evaluates a value the walk reads (a loop extent or a condition). In a
+  // range walk it must be one point over the whole range; when it is not,
+  // `split_at_` records where the range has to end for it to be one, and
+  // the caller abandons the walk (Abandoned()).
+  int64_t Value(const Expr& e) {
+    if (range_.var == nullptr) return Evaluate(e, env_);
+    ranges_.clear();
+    for (const VarBinding& b : env_) ranges_.push_back({b.var, 1, b.value});
+    ranges_.push_back(range_);
+    analysis::Interval iv;
+    if (analysis::EvalInterval(e, ranges_, &iv) && iv.IsPoint()) return iv.lo;
+    // Bisect for the longest prefix [lo, good) over which `e` is a point.
+    // One iteration always is (it is walked with the variable bound to a
+    // point); the search only ever accepts a length it evaluated.
+    int64_t good = range_.lo + 1;
+    int64_t bad = range_.lo + range_.extent;
+    while (bad - good > 1) {
+      const int64_t mid = good + (bad - good) / 2;
+      ranges_.back().extent = mid - range_.lo;
+      if (analysis::EvalInterval(e, ranges_, &iv) && iv.IsPoint()) {
+        good = mid;
+      } else {
+        bad = mid;
+      }
+    }
+    split_at_ = good;
+    return 0;
+  }
+
+  bool Abandoned() const { return split_at_ >= 0; }
+
+  // Rolls serial loop `op` of `extent` >= 2 iterations: walks it range by
+  // range (each range as long as its values allow, see compile.h), merges
+  // each warp's byte-equal adjacent bodies into runs and emits the runs.
+  void WalkRolled(const ForNode* op, int64_t extent) {
+    out_ = &body_;
+    int64_t lo = 0;
+    while (lo < extent) {
+      int64_t hi = extent;
+      while (!WalkRange(op, lo, hi)) hi = split_at_;
+      for (size_t w = 0; w < runs_.size(); ++w) {
+        Run& run = runs_[w];
+        std::vector<MicroOp>& body = body_[w];
+        if (run.trips > 0 && run.body.size() == body.size() &&
+            (body.empty() ||
+             std::memcmp(run.body.data(), body.data(),
+                         body.size() * sizeof(MicroOp)) == 0)) {
+          run.trips += hi - lo;
+          continue;
+        }
+        FlushRun(w);
+        run.body.swap(body);
+        run.trips = hi - lo;
+      }
+      lo = hi;
+    }
+    for (size_t w = 0; w < runs_.size(); ++w) FlushRun(w);
+    out_ = &warps_;
+  }
+
+  // Walks the body of `op` once for the iterations [lo, hi) into body_;
+  // false (with split_at_ set) when some value is not a point over them.
+  bool WalkRange(const ForNode* op, int64_t lo, int64_t hi) {
+    for (std::vector<MicroOp>& body : body_) body.clear();
+    const size_t pool_mark = program_.pool.size();
+    split_at_ = -1;
+    if (hi - lo == 1) {
+      env_.push_back({op->var.get(), lo});
+      Walk(op->body);
+      env_.pop_back();
+      return true;
+    }
+    range_ = {op->var.get(), hi - lo, lo};
+    Walk(op->body);
+    range_.var = nullptr;
+    if (!Abandoned()) return true;
+    // Drop the operand rows only the abandoned walk interned.
+    for (size_t r = pool_mark; r < program_.pool.size(); ++r) {
+      pool_index_.erase(PoolKey(program_.pool[r]));
+    }
+    program_.pool.resize(pool_mark);
+    return false;
+  }
+
+  // Appends warp w's pending run to its stream: bare for one iteration,
+  // between loop markers for more.
+  void FlushRun(size_t w) {
+    Run& run = runs_[w];
+    std::vector<MicroOp>& out = warps_[w];
+    if (run.trips == 1) {
+      out.insert(out.end(), run.body.begin(), run.body.end());
+    } else if (run.trips > 1 && !run.body.empty()) {
+      ALCOP_CHECK_LE(run.trips, int64_t{INT32_MAX}) << "trip count overflows aux";
+      MicroOp begin;
+      begin.kind = MicroOpKind::kLoopBegin;
+      begin.aux = static_cast<int32_t>(run.trips);
+      MicroOp end;
+      end.kind = MicroOpKind::kLoopEnd;
+      end.aux = static_cast<int32_t>(run.body.size());
+      out.push_back(begin);
+      out.insert(out.end(), run.body.begin(), run.body.end());
+      out.push_back(end);
+    }
+    run.body.clear();
+    run.trips = 0;
   }
 
   // Splits the payload over the addressed warps exactly as the trace
@@ -123,12 +237,16 @@ class MicroOpCompiler {
 
   // Interns an operand row, keyed by exact bit pattern (identical values
   // must share a row; nothing may be merged across rounding differences).
-  int32_t Intern(const MicroOpOperands& v) {
+  static std::array<uint64_t, 5> PoolKey(const MicroOpOperands& v) {
     std::array<uint64_t, 5> key;
     static_assert(sizeof(key) == sizeof(v), "pool rows are five doubles");
     std::memcpy(key.data(), &v, sizeof(v));
-    auto [it, inserted] =
-        pool_index_.emplace(key, static_cast<int32_t>(program_.pool.size()));
+    return key;
+  }
+
+  int32_t Intern(const MicroOpOperands& v) {
+    auto [it, inserted] = pool_index_.emplace(
+        PoolKey(v), static_cast<int32_t>(program_.pool.size()));
     if (inserted) program_.pool.push_back(v);
     return it->second;
   }
@@ -138,6 +256,7 @@ class MicroOpCompiler {
       case StmtKind::kBlock:
         for (const Stmt& child : static_cast<const BlockNode*>(s.get())->seq) {
           Walk(child);
+          if (Abandoned()) return;
         }
         return;
       case StmtKind::kPragma:
@@ -147,12 +266,18 @@ class MicroOpCompiler {
         return;
       case StmtKind::kFor: {
         const auto* op = static_cast<const ForNode*>(s.get());
-        int64_t extent = Evaluate(op->extent, env_);
+        int64_t extent = Value(op->extent);
+        if (Abandoned()) return;
         if (op->for_kind == ForKind::kBlockIdx) {
           // One representative threadblock: all blocks run the same trace.
           env_.push_back({op->var.get(), 0});
           Walk(op->body);
           env_.pop_back();
+          return;
+        }
+        if (op->for_kind == ForKind::kSerial && extent >= 2 &&
+            out_ == &warps_) {
+          WalkRolled(op, extent);  // outermost: not inside a rolled body
           return;
         }
         bool is_warp = op->for_kind == ForKind::kWarp;
@@ -162,12 +287,15 @@ class MicroOpCompiler {
           Walk(op->body);
           if (is_warp) warp_stack_.pop_back();
           env_.pop_back();
+          if (Abandoned()) return;
         }
         return;
       }
       case StmtKind::kIfThenElse: {
         const auto* op = static_cast<const IfThenElseNode*>(s.get());
-        if (Evaluate(op->cond, env_) != 0) {
+        const int64_t cond = Value(op->cond);
+        if (Abandoned()) return;
+        if (cond != 0) {
           Walk(op->then_case);
         } else if (op->else_case != nullptr) {
           Walk(op->else_case);
@@ -297,10 +425,25 @@ class MicroOpCompiler {
   MicroOpProgram program_;
   MicroOpSkeleton skeleton_;
   std::map<std::array<uint64_t, 5>, int32_t> pool_index_;
-  std::vector<std::vector<MicroOp>> warps_;
+  std::vector<std::vector<MicroOp>> warps_;  // the per-warp streams
+  // Rolling state: the body one range walk emits per warp, and per warp
+  // the run of byte-equal bodies not yet appended to its stream.
+  struct Run {
+    std::vector<MicroOp> body;
+    int64_t trips = 0;
+  };
+  std::vector<std::vector<MicroOp>> body_;
+  std::vector<Run> runs_;
+  std::vector<std::vector<MicroOp>>* out_ = &warps_;  // where Emit appends
   double tc_rate_ = 1.0;
   double lds_rate_ = 1.0;
   std::vector<VarBinding> env_;
+  // The rolled loop's variable over the range being walked (var == null
+  // outside range walks), the scratch ranges handed to EvalInterval, and
+  // where an abandoned walk must split (-1 while the walk is valid).
+  analysis::VarRange range_;
+  std::vector<analysis::VarRange> ranges_;
+  int64_t split_at_ = -1;
   std::vector<std::pair<int64_t, int64_t>> warp_stack_;  // (extent, value)
 };
 
@@ -375,6 +518,109 @@ uint64_t SkeletonHash(const MicroOpSkeleton& skeleton) {
     mix_u64(static_cast<uint64_t>(g.max_commits));
   }
   return h;
+}
+
+namespace {
+
+bool IsPooled(MicroOpKind kind) {
+  return kind < MicroOpKind::kAcquire || kind == MicroOpKind::kFill;
+}
+
+// Kinds whose replay addresses the per-(stream, group) state.
+bool UsesGroup(MicroOpKind kind) {
+  switch (kind) {
+    case MicroOpKind::kCopyAsyncGlobal:
+    case MicroOpKind::kCopyAsyncShared:
+    case MicroOpKind::kAcquire:
+    case MicroOpKind::kRelease:
+    case MicroOpKind::kCommit:
+    case MicroOpKind::kWait:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::string CheckSkeleton(const MicroOpSkeleton& s) {
+  if (s.num_warps < 1) return "no warps";
+  if (s.warp_begin.size() != static_cast<size_t>(s.num_warps) + 1 ||
+      s.warp_begin.front() != 0 || s.warp_begin.back() != s.ops.size()) {
+    return "warp spans do not tile the instruction arena";
+  }
+  for (size_t w = 0; w < static_cast<size_t>(s.num_warps); ++w) {
+    if (s.warp_begin[w] > s.warp_begin[w + 1]) return "warp spans overlap";
+  }
+  for (const MicroOpGroup& g : s.groups) {
+    if (g.stages < 1 || g.max_commits < 0 ||
+        g.max_commits >= (int64_t{1} << 22)) {
+      return "group stages or commit count out of range";
+    }
+  }
+  const int64_t num_groups = static_cast<int64_t>(s.groups.size());
+  std::vector<int64_t> max_commits(s.groups.size(), 0);
+  std::vector<int64_t> commits(s.groups.size());
+  int64_t first_warp_barriers = 0;
+  for (size_t w = 0; w < static_cast<size_t>(s.num_warps); ++w) {
+    std::fill(commits.begin(), commits.end(), 0);
+    int64_t barriers = 0;  // every warp must meet every barrier
+    int64_t trips = 1;
+    int64_t loop_begin = -1;  // index of the open kLoopBegin, if any
+    for (uint32_t i = s.warp_begin[w]; i < s.warp_begin[w + 1]; ++i) {
+      const MicroOp& op = s.ops[i];
+      if (op.kind > MicroOpKind::kLoopEnd) return "unknown micro-op kind";
+      if (UsesGroup(op.kind) && (op.group < 0 || op.group >= num_groups)) {
+        return "group id out of range";
+      }
+      if (IsPooled(op.kind) && op.aux < 0) return "negative operand row";
+      if (op.kind == MicroOpKind::kLoopBegin) {
+        if (loop_begin >= 0) return "nested loop markers";
+        if (op.aux < 2) return "loop trip count below 2";
+        loop_begin = i;
+        trips = op.aux;
+      } else if (op.kind == MicroOpKind::kLoopEnd) {
+        if (loop_begin < 0) return "loop end without a loop begin";
+        if (op.aux < 1 || op.aux != static_cast<int64_t>(i) - loop_begin - 1) {
+          return "loop end body length disagrees with its loop begin";
+        }
+        loop_begin = -1;
+        trips = 1;
+      } else if (op.kind == MicroOpKind::kCommit) {
+        commits[static_cast<size_t>(op.group)] += trips;
+      } else if (op.kind == MicroOpKind::kBarrier) {
+        barriers += trips;
+      }
+    }
+    if (loop_begin >= 0) return "loop body runs past its warp's span";
+    if (w == 0) first_warp_barriers = barriers;
+    if (barriers != first_warp_barriers) {
+      return "warps disagree on their barrier count";
+    }
+    for (size_t g = 0; g < commits.size(); ++g) {
+      max_commits[g] = std::max(max_commits[g], commits[g]);
+    }
+  }
+  for (size_t g = 0; g < s.groups.size(); ++g) {
+    if (s.groups[g].max_commits != max_commits[g]) {
+      return "group max_commits disagrees with the commits its body issues";
+    }
+  }
+  for (const MicroOp& op : s.ops) {
+    if (op.kind == MicroOpKind::kWait &&
+        (op.aux >> 8) != s.groups[static_cast<size_t>(op.group)].max_commits) {
+      return "wait capacity disagrees with its group's max_commits";
+    }
+  }
+  return "";
+}
+
+int64_t PoolRowsRead(const MicroOpSkeleton& skeleton) {
+  int64_t rows = 0;
+  for (const MicroOp& op : skeleton.ops) {
+    if (IsPooled(op.kind)) rows = std::max<int64_t>(rows, op.aux + 1);
+  }
+  return rows;
 }
 
 std::shared_ptr<const MicroOpSkeleton> InternSkeleton(

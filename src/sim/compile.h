@@ -3,10 +3,10 @@
 // and the event-pool simulator core (desim.h) can replay the flat form
 // thousands of times.
 //
-// The compiler walks the transformed TIR exactly like the per-warp trace
-// builder (trace.h) — same loop flattening, same warp-range broadcast,
-// same byte splitting — but instead of AST-shaped events it emits
-// contiguous MicroOp structs whose operands are *pre-resolved*:
+// The compiler walks the transformed TIR like the per-warp trace builder
+// (trace.h) — same warp-range broadcast, same byte splitting — but instead
+// of AST-shaped events it emits contiguous MicroOp structs whose operands
+// are *pre-resolved*:
 //   - copy issue cycles, LDS service cycles, tensor-core cycles and fill
 //     cycles are divided out against the device rates at compile time
 //     (those rates do not depend on which threadblock wave is replayed);
@@ -19,15 +19,36 @@
 // Only the LLC/DRAM bandwidth divisions remain at replay time, because
 // those rates depend on how many SMs the wave keeps active.
 //
+// Rolled loops. The trace builder unrolls every iteration of the main
+// loop; the compiler does not, so a program is O(loop body), not O(K).
+// Each outermost serial loop of two or more iterations is walked once per
+// iteration *range* [lo, hi) with its variable bound to that interval
+// (analysis::EvalInterval; every other variable stays a point, warp loops
+// and nested loops are enumerated as usual). Every value the walk reads —
+// each IfThenElse condition and nested loop extent — must be one point
+// over the range, or the iterations of the range would not all emit the
+// same ops. When a value is not, the walk is abandoned and retried on the
+// longest prefix [lo, x) over which that value is a point (found by
+// bisecting that one expression, not by re-walking the body); a range of
+// one iteration binds the variable to a point and always succeeds. So a
+// guard `if ko == 0` peels iteration 0 off in three walks whatever K is,
+// and a guard at an arbitrary iteration splits the loop around it.
+// Adjacent ranges whose per-warp bodies are byte-equal merge into one run,
+// emitted per warp as kLoopBegin (aux = trips) + body + kLoopEnd
+// (aux = body length); a run of one iteration is emitted bare.
+//
 // Every precomputed operand is produced by the *same* floating-point
-// expression the interpreter evaluates per event, which is what makes the
-// replayed KernelTiming and Timeline bit-identical to the AST interpreter
-// (asserted by tests/sim_replay_test.cc and the fuzz differential).
+// expression the interpreter evaluates per event, and replay executes a
+// rolled body exactly as often as the interpreter meets its unrolled
+// copies, which is what makes the replayed KernelTiming and Timeline
+// bit-identical to the AST interpreter (asserted by
+// tests/sim_replay_test.cc and the fuzz differential).
 #ifndef ALCOP_SIM_COMPILE_H_
 #define ALCOP_SIM_COMPILE_H_
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +67,8 @@ namespace sim {
 // resumes at max(park_time, complete) + sync — exactly the time it
 // would have computed passing through); kWait's park-then-wake equals
 // its pass-through for the same reason; kBarrier arrival order is
-// absorbed by the max over arrival times. kAcquire and kRelease are NOT
+// absorbed by the max over arrival times; the loop markers touch only
+// their own stream's pc and trip counter. kAcquire and kRelease are NOT
 // in the set: an acquire that passes pays no max() against the release
 // time, so acquire/release order against other streams is observable.
 enum class MicroOpKind : uint8_t {
@@ -62,6 +84,8 @@ enum class MicroOpKind : uint8_t {
   kCommit,           // producer_commit
   kWait,             // consumer_wait
   kBarrier,          // threadblock barrier
+  kLoopBegin,        // rolled loop entry (zero cost): aux = trip count >= 2
+  kLoopEnd,          // rolled loop back-edge (zero cost): aux = body length
 };
 
 // First kind of the eagerly-continuable suffix of the enum (see above).
@@ -98,8 +122,10 @@ struct MicroOpOperands {
 
 // One flat 8-byte instruction. `aux` is the operand-pool row for the
 // pooled kinds listed above; for kAcquire it is the group's stages - 1,
-// and for kWait it packs (max_commits << 8) | wait_ahead — everything the
-// replay core needs without touching the group table.
+// for kWait it packs (max_commits << 8) | wait_ahead, and for the loop
+// markers it is the trip count (kLoopBegin) or the number of body ops
+// between the pair (kLoopEnd) — everything the replay core needs without
+// touching the group table.
 struct MicroOp {
   MicroOpKind kind = MicroOpKind::kBarrier;
   uint8_t flags = 0;
@@ -109,7 +135,9 @@ struct MicroOp {
 static_assert(sizeof(MicroOp) == 8, "replay footprint depends on packing");
 
 // Pipeline-group metadata carried by the program: FIFO depth, scope, and
-// the per-warp commit count (sizes the replay arena's group slots).
+// the per-warp commit count — the max over warps of the commits a warp
+// issues at replay, i.e. each rolled body's commits times its trips —
+// which sizes the replay arena's group slots.
 struct MicroOpGroup {
   int64_t stages = 1;
   bool tb_scope = true;  // shared scope: every warp of the tb participates
@@ -123,9 +151,9 @@ struct MicroOpGroup {
 // Schedules that differ only numerically (tile bytes, FLOP counts,
 // latencies) walk identical instruction sequences, so their skeletons are
 // byte-for-byte equal and the process-wide intern pool (InternSkeleton)
-// stores each distinct skeleton exactly once. The instruction arena is
-// the dominant footprint of a compiled program, which is what makes the
-// program cache's bytes-per-config drop when a sweep shares skeletons.
+// stores each distinct skeleton exactly once. With rolled loops the
+// instruction arena is a few hundred ops, comparable to the patch table,
+// so sharing now saves less than 2x of a program's bytes.
 struct MicroOpSkeleton {
   int num_warps = 1;
   std::vector<MicroOp> ops;          // warp w owns [warp_begin[w], warp_begin[w+1])
@@ -148,6 +176,20 @@ struct MicroOpSkeleton {
 // Computes the structural hash (FNV-1a over the skeleton's fields; does
 // not read or write `hash` itself). Exposed for tests.
 uint64_t SkeletonHash(const MicroOpSkeleton& skeleton);
+
+// Returns why `skeleton` is unsafe to replay, or "" when it is sound:
+// warp spans that do not tile the arena, unknown kinds, group ids out of
+// range, loop markers that are unpaired, nested, below two trips or
+// outside their warp's span, per-group commit counts or baked wait
+// capacities that disagree with what the instructions issue, and warps
+// that would meet different numbers of barriers. Every
+// compiled skeleton passes; the persistence loader refuses any that does
+// not (a skeleton read from disk is untrusted input).
+std::string CheckSkeleton(const MicroOpSkeleton& skeleton);
+
+// One past the largest operand-pool row the skeleton's instructions
+// address: a program replaying it needs at least this many pool rows.
+int64_t PoolRowsRead(const MicroOpSkeleton& skeleton);
 
 // Process-wide structure-sharing pool: returns a shared skeleton equal to
 // `skeleton`, inserting it if no equal one exists. Thread-safe; entries
@@ -211,8 +253,9 @@ struct TraceCompileOptions {
   std::unordered_map<const ir::BufferNode*, double> dram_fraction;
 };
 
-// Walks the lowered TIR once (blockIdx loops pinned to 0, warp loops
-// broadcast, trip counts evaluated) and emits the flat program.
+// Walks the lowered TIR (blockIdx loops pinned to 0, warp loops
+// broadcast, trip counts evaluated, outermost serial loops rolled as
+// described above) and emits the flat program.
 MicroOpProgram CompileTraceProgram(const ir::Stmt& program, int num_warps,
                                    const target::GpuSpec& spec,
                                    const TraceCompileOptions& options);

@@ -629,7 +629,8 @@ class Replayer {
         &&handle_store_global,      &&handle_mma,
         &&handle_acquire,           &&handle_release,
         &&handle_fill,              &&handle_commit,
-        &&handle_wait,              &&handle_barrier};
+        &&handle_wait,              &&handle_barrier,
+        &&handle_loop_begin,        &&handle_loop_end};
     int32_t id;
     Stream* s;
     const MicroOp* op;
@@ -908,6 +909,20 @@ class Replayer {
     ALCOP_NEXT();
   }
 
+  // Rolled loops (compile.h): zero-cost, stream-local markers. The end
+  // marker jumps back to its begin marker while trips remain, so
+  // ALCOP_NEXT steps into the body again; a stream therefore executes the
+  // exact op sequence of the unrolled program, in the same order.
+  handle_loop_begin: {
+    s->trips = op->aux;
+    ALCOP_NEXT();
+  }
+
+  handle_loop_end: {
+    if (--s->trips > 0) s->pc -= static_cast<uint32_t>(op->aux) + 1;
+    ALCOP_NEXT();
+  }
+
   done:
 #undef ALCOP_NEXT
 #undef ALCOP_DISPATCH
@@ -948,6 +963,7 @@ class Replayer {
         s.pending_sync = 0.0;
         s.pc = sk_.warp_begin[static_cast<size_t>(w)];
         s.end = sk_.warp_begin[static_cast<size_t>(w) + 1];
+        s.trips = 0;
         s.tb = tb;
         s.warp = w;
       }

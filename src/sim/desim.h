@@ -33,7 +33,12 @@
 //     that is pooled across runs, and all per-event rate divisions that
 //     do not depend on the wave were folded into the program — so a warm
 //     replay performs zero heap allocations and reproduces the
-//     interpreter's results bit for bit.
+//     interpreter's results bit for bit. Programs are rolled
+//     (compile.h): each stream keeps a trip counter, and a kLoopEnd jumps
+//     back to its body while trips remain, so a stream executes exactly
+//     the op sequence of the unrolled trace. Program size is O(loop
+//     body); replay work — and the per-group commit slots, sized by
+//     max_commits — stays O(K).
 #ifndef ALCOP_SIM_DESIM_H_
 #define ALCOP_SIM_DESIM_H_
 
@@ -107,6 +112,7 @@ struct ReplayArena {
     double pending_sync = 0.0;
     uint32_t pc = 0;   // absolute index into program.ops
     uint32_t end = 0;  // end of this stream's instruction span
+    int32_t trips = 0;  // iterations left in the rolled loop being run
     int32_t tb = 0;
     int32_t warp = 0;
   };

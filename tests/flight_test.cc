@@ -450,8 +450,12 @@ TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
 
+  // The registry is process-global and never reset, so every count is
+  // taken as a delta (the test must pass when repeated in one process).
   double other_before =
       RegistryCounterValue("serving.client.requests|client=other");
+  double a_before = RegistryCounterValue("serving.client.requests|client=capA");
+  double b_before = RegistryCounterValue("serving.client.requests|client=capB");
 
   serving::Client client;
   ASSERT_TRUE(client.Connect(socket_path_));
@@ -466,10 +470,12 @@ TEST_F(FlightServerTest, ClientCardinalityCapCollapsesToOther) {
   bool found_a = false;
   bool found_b = false;
   EXPECT_EQ(
-      RegistryCounterValue("serving.client.requests|client=capA", &found_a),
+      RegistryCounterValue("serving.client.requests|client=capA", &found_a) -
+          a_before,
       2.0);
   EXPECT_EQ(
-      RegistryCounterValue("serving.client.requests|client=capB", &found_b),
+      RegistryCounterValue("serving.client.requests|client=capB", &found_b) -
+          b_before,
       1.0);
   EXPECT_TRUE(found_a);
   EXPECT_TRUE(found_b);

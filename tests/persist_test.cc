@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,7 +86,23 @@ class PersistTest : public ::testing::Test {
   }
 
   std::string path_;
+  uint64_t saved_records_ = 0;
 };
+
+// File layout constants (serving/persist.h): the header, and the offsets
+// inside a skeleton record's payload.
+constexpr size_t kHeaderBytes = 24;
+constexpr size_t kSkeletonHashOffset = 14;  // u8 type, u64 id, i32, u8
+constexpr size_t kSkeletonOpsOffset = 26;   // ... u64 hash, u32 op count
+
+uint32_t Fnv32(const char* data, size_t size) {
+  uint32_t hash = 2166136261u;
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= static_cast<uint8_t>(data[i]);
+    hash *= 16777619u;
+  }
+  return hash;
+}
 
 TEST_F(PersistTest, TimingRoundTripIsBitIdentical) {
   target::GpuSpec spec = target::AmpereSpec();
@@ -275,17 +292,33 @@ TEST_F(PersistTest, FittedConstantsMismatchRejectsWholeFile) {
 TEST_F(PersistTest, TruncatedTailIsTolerated) {
   target::GpuSpec spec = target::AmpereSpec();
   Populate(spec);
-  ASSERT_TRUE(serving::SaveCache(path_, spec).ok);
+  serving::PersistStats saved = serving::SaveCache(path_, spec);
+  ASSERT_TRUE(saved.ok);
+  saved_records_ = saved.timings + saved.programs;
   std::string data = ReadFile();
 
   // Chop the file mid-frame: everything before the tear loads, the torn
   // frame is skipped, and load still reports ok.
-  WriteFile(data.substr(0, data.size() - data.size() / 3));
+  const size_t cut = data.size() - data.size() / 3;
+  WriteFile(data.substr(0, cut));
+  uint64_t whole_frames = 0;
+  for (size_t pos = kHeaderBytes; pos + 8 <= cut;) {
+    uint32_t len = 0;
+    std::memcpy(&len, data.data() + pos, sizeof(len));
+    if (pos + 8 + len > cut) break;
+    ++whole_frames;
+    pos += 8 + len;
+  }
   sim::ResetSimCache();
   sim::ResetSkeletonPool();
   serving::PersistStats loaded = serving::LoadCache(path_, spec);
   EXPECT_TRUE(loaded.ok) << loaded.error;
-  EXPECT_LT(loaded.timings + loaded.programs, 8u);
+  EXPECT_EQ(loaded.skipped, 1u);
+  EXPECT_EQ(loaded.skip_reason, "truncated frame");
+  EXPECT_EQ(loaded.skeletons + loaded.programs + loaded.timings +
+                loaded.tunings,
+            whole_frames);
+  EXPECT_LT(loaded.timings + loaded.programs, saved_records_);
 
   // Header-only (and shorter) files fail cleanly rather than crash.
   for (size_t keep : {0u, 7u, 23u}) {
@@ -317,6 +350,80 @@ TEST_F(PersistTest, CorruptFrameIsSkippedNotFatal) {
                           loaded.skeletons + loaded.tunings;
   EXPECT_LT(total_loaded, total_saved);
   EXPECT_GT(total_loaded, 0u) << "corruption of one frame dropped everything";
+}
+
+// A skeleton frame whose trip count was rewritten — with its structural
+// hash and frame checksum recomputed, so only the structural check can
+// catch it — is refused with a reason, and so is every program that
+// references it; everything else loads and replays.
+TEST_F(PersistTest, CorruptTripCountIsRefusedWithReason) {
+  target::GpuSpec spec = target::AmpereSpec();
+  Populate(spec);
+  // The corruption target: a cached program whose skeleton rolls a loop
+  // with commits in its body.
+  std::shared_ptr<const sim::MicroOpSkeleton> victim;
+  size_t begin_index = 0;
+  for (const auto& [key, program] : sim::SnapshotCachedPrograms()) {
+    const sim::MicroOpSkeleton* skeleton = program->program.skeleton.get();
+    if (skeleton == nullptr || victim != nullptr) continue;
+    size_t begin = 0;
+    for (size_t i = 0; i < skeleton->ops.size(); ++i) {
+      const sim::MicroOpKind kind = skeleton->ops[i].kind;
+      if (kind == sim::MicroOpKind::kLoopBegin) begin = i;
+      if (kind == sim::MicroOpKind::kCommit && begin > 0) {
+        victim = program->program.skeleton;
+        begin_index = begin;
+        break;
+      }
+      if (kind == sim::MicroOpKind::kLoopEnd) begin = 0;
+    }
+  }
+  ASSERT_NE(victim, nullptr) << "no rolled loop among the cached programs";
+  sim::MicroOpSkeleton corrupt = *victim;
+  corrupt.ops[begin_index].aux += 1;
+  corrupt.hash = sim::SkeletonHash(corrupt);
+
+  serving::PersistStats saved = serving::SaveCache(path_, spec);
+  ASSERT_TRUE(saved.ok) << saved.error;
+  std::string data = ReadFile();
+  bool patched = false;
+  for (size_t pos = kHeaderBytes; pos + 8 <= data.size();) {
+    uint32_t len = 0;
+    std::memcpy(&len, data.data() + pos, sizeof(len));
+    char* payload = data.data() + pos + 8;
+    uint64_t hash = 0;
+    if (payload[0] == 1) {  // skeleton record
+      std::memcpy(&hash, payload + kSkeletonHashOffset, sizeof(hash));
+    }
+    if (hash == victim->hash) {
+      std::memcpy(payload + kSkeletonHashOffset, &corrupt.hash,
+                  sizeof(corrupt.hash));
+      std::memcpy(payload + kSkeletonOpsOffset +
+                      begin_index * sizeof(sim::MicroOp),
+                  &corrupt.ops[begin_index], sizeof(sim::MicroOp));
+      const uint32_t checksum = Fnv32(payload, len);
+      std::memcpy(data.data() + pos + 4, &checksum, sizeof(checksum));
+      patched = true;
+    }
+    pos += 8 + len;
+  }
+  ASSERT_TRUE(patched);
+  WriteFile(data);
+
+  sim::ResetSimCache();
+  sim::ResetSkeletonPool();
+  serving::PersistStats loaded = serving::LoadCache(path_, spec);
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_GE(loaded.skipped, 2u);  // the skeleton and its program(s)
+  EXPECT_EQ(loaded.skip_reason,
+            "malformed skeleton: group max_commits disagrees with the "
+            "commits its body issues");
+  EXPECT_EQ(loaded.skeletons, saved.skeletons - 1);
+  EXPECT_EQ(loaded.programs + loaded.skipped - 1, saved.programs);
+  sim::ReplayArena arena;
+  for (const auto& [key, program] : sim::SnapshotCachedPrograms()) {
+    EXPECT_TRUE(sim::ReplaySimProgram(*program, &arena).feasible) << key;
+  }
 }
 
 TEST_F(PersistTest, LoadNeverClobbersLiveEntries) {

@@ -525,7 +525,7 @@ TEST_F(ServerTest, RepliesMatchGoldenBytes) {
             R"({"id":6,"ok":true,)" + best + R"("source":"store",)" +
                 config_cycles + "}");
   const std::string counts =
-      R"(","bytes":95682,"timings":6,"programs":6,"skeletons":6,)"
+      R"(","bytes":11650,"timings":6,"programs":6,"skeletons":6,)"
       R"("tunings":1,"skipped":0})";
   EXPECT_EQ(call(R"({"id":7,"method":"persist","path":")" + cache + R"("})"),
             R"({"id":7,"ok":true,"path":")" + cache + counts);

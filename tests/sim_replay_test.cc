@@ -12,6 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "ir/parser.h"
+#include "ir/printer.h"
+#include "schedule/tensor.h"
+#include "sim/compile.h"
 #include "sim/desim.h"
 #include "sim/launch.h"
 #include "sim/traffic_report.h"
@@ -234,6 +238,126 @@ TEST(SimReplayGolden, ArenaReuseAcrossProgramsIsStateless) {
     sim::KernelTiming again = sim::ReplaySimProgram(programs[i], &arena);
     EXPECT_TRUE(SameTiming(first[i], again)) << "program " << i;
   }
+}
+
+// ---- Rolled programs (compile.h): one body per run of identical
+// iterations, replayed by trip count. ----
+
+// The perfbench cold-compile schedule: 128x128x32 threadblock tile,
+// 64x64x16 warps, 3 shared / 2 register stages.
+schedule::ScheduleConfig ColdConfig() {
+  schedule::ScheduleConfig config;
+  config.tile = {.tb_m = 128, .tb_n = 128, .tb_k = 32,
+                 .warp_m = 64, .warp_n = 64, .warp_k = 16};
+  config.smem_stages = 3;
+  config.reg_stages = 2;
+  return config;
+}
+
+// Interpreter vs replay on one compiled kernel: timing, PMU and (when
+// `timeline`) the captured batch timeline, all bit for bit.
+::testing::AssertionResult ReplayMatchesInterpreter(
+    const sim::CompiledKernel& compiled, const target::GpuSpec& spec,
+    bool timeline) {
+  sim::KernelPmu interp_pmu;
+  sim::KernelTiming interp = sim::InterpretKernel(compiled, spec, &interp_pmu);
+  sim::SimProgram program = sim::BuildSimProgram(compiled, spec);
+  sim::ReplayArena arena;
+  sim::KernelPmu replay_pmu;
+  sim::KernelTiming replay =
+      sim::ReplaySimProgram(program, &arena, &replay_pmu);
+  ::testing::AssertionResult ok = SameTiming(interp, replay);
+  if (!ok) return ok;
+  if (!interp.feasible) return ::testing::AssertionFailure() << "infeasible";
+  ok = SamePmu(interp_pmu, replay_pmu);
+  if (!ok || !timeline) return ok;
+  return SameTimeline(sim::CaptureTimelineInterpreted(compiled, spec),
+                      sim::ReplayTimeline(program, &arena));
+}
+
+// K sweep across the loop-shape edge cases — one iteration, exactly
+// smem_stages, smem_stages + 1, and long loops — for every variant that
+// changes the main loop's guards or sync structure: register stages 1
+// and 2, inner fusion off, split-K, and blocking copies (TVM-DB).
+TEST(SimReplayRolled, KSweepMatchesInterpreterExactly) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  std::vector<std::pair<std::string, schedule::ScheduleConfig>> variants;
+  variants.emplace_back("cold", ColdConfig());
+  variants.emplace_back("reg1", ColdConfig());
+  variants.back().second.reg_stages = 1;
+  variants.emplace_back("unfused", ColdConfig());
+  variants.back().second.inner_fusion = false;
+  variants.emplace_back("split2", ColdConfig());
+  variants.back().second.split_k = 2;
+  variants.emplace_back("blocking", ColdConfig());
+  variants.back().second.async_copies = false;
+
+  int checked = 0;
+  for (const auto& [name, base] : variants) {
+    const int64_t tb_k = base.tile.tb_k * base.split_k;
+    std::vector<int64_t> ks = {tb_k, tb_k * base.smem_stages,
+                               tb_k * (base.smem_stages + 1), 4096};
+    // The longest loop once per variant family that rolls differently.
+    if (name == "cold" || name == "blocking") ks.push_back(262144);
+    for (int64_t k : ks) {
+      schedule::GemmOp op = schedule::MakeMatmul("mm", 512, 512, k);
+      schedule::ScheduleConfig config = base;
+      // A one-iteration loop cannot hold a shared-memory pipeline.
+      if (k == tb_k) config.smem_stages = 1;
+      std::string why;
+      ASSERT_TRUE(schedule::ValidateConfig(op, config, &why))
+          << name << " K=" << k << ": " << why;
+      sim::CompiledKernel compiled = sim::CompileKernel(op, config, spec);
+      EXPECT_TRUE(ReplayMatchesInterpreter(compiled, spec, k <= 4096))
+          << name << " K=" << k;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 22);
+}
+
+// Skeleton size is O(loop body): the same schedule at 64x the K compiles
+// to the same number of micro-ops (only the trip counts differ).
+TEST(SimReplayRolled, ProgramSizeIsFlatInK) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  sim::SimProgram small = sim::CompileSimProgram(
+      schedule::MakeMatmul("mm", 512, 512, 4096), ColdConfig(), spec);
+  sim::SimProgram large = sim::CompileSimProgram(
+      schedule::MakeMatmul("mm", 512, 512, 262144), ColdConfig(), spec);
+  ASSERT_TRUE(small.feasible);
+  ASSERT_TRUE(large.feasible);
+  EXPECT_EQ(small.program.TotalOps(), large.program.TotalOps());
+  EXPECT_LT(small.program.TotalOps(), 1000);
+}
+
+// A guard at an arbitrary iteration (`if ko == 37`, spliced into a
+// compiled kernel's text IR) splits the rolled loop around iteration 37:
+// warp 0 runs iteration 0 (the register-prefetch guard), a loop of 36,
+// iteration 37, and a loop of the remaining 90 — and the replay still
+// matches the interpreter bit for bit.
+TEST(SimReplayRolled, MidLoopGuardSplitsAtArbitraryIteration) {
+  const target::GpuSpec spec = target::AmpereSpec();
+  schedule::GemmOp op = schedule::MakeMatmul("mm", 512, 512, 4096);
+  sim::CompiledKernel compiled = sim::CompileKernel(op, ColdConfig(), spec);
+  std::string text = ir::ToString(compiled.transformed.stmt);
+  const std::string anchor = "consumer_wait(ahead=1)  @group0\n";
+  const size_t at = text.find(anchor);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.insert(at + anchor.size(), "if ko == 37 {\nbarrier\n}\n");
+  std::vector<ir::Buffer> externals = {compiled.kernel.a, compiled.kernel.b,
+                                       compiled.kernel.c};
+  compiled.transformed.stmt = ir::ParseStmt(text, externals);
+
+  EXPECT_TRUE(ReplayMatchesInterpreter(compiled, spec, /*timeline=*/true));
+  sim::SimProgram program = sim::BuildSimProgram(compiled, spec);
+  const sim::MicroOpSkeleton& skeleton = *program.program.skeleton;
+  std::vector<int32_t> trips;
+  for (uint32_t i = skeleton.warp_begin[0]; i < skeleton.warp_begin[1]; ++i) {
+    if (skeleton.ops[i].kind == sim::MicroOpKind::kLoopBegin) {
+      trips.push_back(skeleton.ops[i].aux);
+    }
+  }
+  EXPECT_EQ(trips, (std::vector<int32_t>{36, 90}));
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "schedule/tensor.h"
 #include "sim/compile.h"
 #include "sim/desim.h"
 #include "sim/launch.h"
@@ -133,6 +135,83 @@ TEST(SkeletonReplay, LayoutReuseBitExactUnderInterleaving) {
     sim::KernelTiming replay = sim::ReplaySimProgram(*programs[idx], &shared);
     EXPECT_TRUE(SameTiming(fresh[idx], replay)) << "program " << idx;
   }
+}
+
+// The persistence loader refuses any skeleton CheckSkeleton rejects, so
+// no compiled one may be rejected: sweep every Fig. 10 operator's
+// (strided) space.
+TEST(SkeletonCheck, EveryCompiledSkeletonPasses) {
+  target::GpuSpec spec = target::AmpereSpec();
+  int checked = 0;
+  for (const schedule::GemmOp& op : workloads::BenchmarkOps()) {
+    tuner::TuningTask task = tuner::MakeSimulatorTask(op, spec);
+    for (size_t c = 0; c < task.space.size(); c += 7) {
+      sim::SimProgram program = sim::CompileSimProgram(op, task.space[c], spec);
+      if (!program.feasible) continue;
+      EXPECT_EQ(sim::CheckSkeleton(*program.program.skeleton), "")
+          << op.name << " " << task.space[c].ToString();
+      EXPECT_GE(static_cast<int64_t>(program.program.pool.size()),
+                sim::PoolRowsRead(*program.program.skeleton));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000);
+}
+
+// The structural check the persistence loader runs on untrusted
+// skeletons: a compiled (rolled) skeleton passes, and each malformation of
+// its loop markers or commit counts is refused with its own reason.
+TEST(SkeletonCheck, RefusesMalformedLoopMarkers) {
+  target::GpuSpec spec = target::AmpereSpec();
+  schedule::ScheduleConfig config;
+  config.smem_stages = 3;  // the rolled body commits
+  sim::SimProgram program = sim::CompileSimProgram(
+      schedule::MakeMatmul("mm", 512, 512, 4096), config, spec);
+  ASSERT_TRUE(program.feasible);
+  const sim::MicroOpSkeleton& good = *program.program.skeleton;
+  EXPECT_EQ(sim::CheckSkeleton(good), "");
+  size_t begin = 0, end = 0;
+  for (size_t i = good.warp_begin[0]; i < good.warp_begin[1]; ++i) {
+    if (good.ops[i].kind == sim::MicroOpKind::kLoopBegin) begin = i;
+    if (good.ops[i].kind == sim::MicroOpKind::kLoopEnd) end = i;
+  }
+  ASSERT_LT(begin, end) << "warp 0 rolls no loop";
+
+  auto check = [&good](const std::function<void(sim::MicroOpSkeleton*)>& edit) {
+    sim::MicroOpSkeleton s = good;
+    edit(&s);
+    return sim::CheckSkeleton(s);
+  };
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) { s->ops[begin].aux = 1; }),
+            "loop trip count below 2");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) { s->ops[begin].aux += 1; }),
+            "group max_commits disagrees with the commits its body issues");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->ops[end].kind = sim::MicroOpKind::kBarrier;
+            }),
+            "loop body runs past its warp's span");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->ops[begin].kind = sim::MicroOpKind::kBarrier;
+            }),
+            "loop end without a loop begin");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->ops[begin + 1] = s->ops[begin];
+            }),
+            "nested loop markers");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) { s->ops[end].aux -= 1; }),
+            "loop end body length disagrees with its loop begin");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->warp_begin[1] = static_cast<uint32_t>(end);
+            }),
+            "loop body runs past its warp's span");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->groups[0].max_commits += 1;
+            }),
+            "group max_commits disagrees with the commits its body issues");
+  EXPECT_EQ(check([&](sim::MicroOpSkeleton* s) {
+              s->ops[begin + 1].kind = sim::MicroOpKind::kBarrier;
+            }),
+            "warps disagree on their barrier count");
 }
 
 TEST(SkeletonPool, ResetSimCacheResetsPoolStats) {
