@@ -260,6 +260,18 @@ double RegistryCounterValue(const std::string& name, bool* found = nullptr) {
   return 0.0;
 }
 
+// Every serving.client.requests series, by client label.
+std::map<std::string, double> ClientRequestCounts() {
+  const std::string prefix = "serving.client.requests|client=";
+  std::map<std::string, double> counts;
+  for (const obs::MetricSnapshot& snap : obs::Registry::Global().Snapshot()) {
+    if (snap.name.rfind(prefix, 0) == 0) {
+      counts[snap.name.substr(prefix.size())] = snap.value;
+    }
+  }
+  return counts;
+}
+
 class FlightServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -501,12 +513,13 @@ TEST_F(FlightServerTest, WatchdogTripsOnStalledSlowLaneAndDumps) {
   double stalls_before = RegistryCounterValue("serving.watchdog.stalls");
 
   // One long tune occupies the single slow worker; a compile queued
-  // behind it ages past the 10ms threshold while the tune runs.
+  // behind it ages past the 10ms threshold while the tune runs. Replay
+  // is O(K), so the long K keeps the tune well past the threshold.
   std::thread tuner_thread([&] {
     serving::Client tune_client;
     ASSERT_TRUE(tune_client.Connect(socket_path_));
     std::optional<JsonValue> response = tune_client.Call(
-        "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":512,\"k\":512,"
+        "{\"id\":1,\"method\":\"tune\",\"m\":512,\"n\":512,\"k\":65536,"
         "\"trials\":48}");
     ASSERT_TRUE(response.has_value());
     EXPECT_TRUE(response->Find("ok")->BoolOr(false));
@@ -611,6 +624,7 @@ TEST_F(FlightServerTest, AccessLogAndFlightAgreeUnderConcurrentClients) {
   serving::Server server(options_);
   ASSERT_TRUE(server.Start());
   int port = server.http_port();
+  std::map<std::string, double> clients_before = ClientRequestCounts();
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 8;
@@ -651,9 +665,11 @@ TEST_F(FlightServerTest, AccessLogAndFlightAgreeUnderConcurrentClients) {
   std::ifstream log(access_log_path_);
   ASSERT_TRUE(log.is_open());
   std::map<uint64_t, std::string> by_id;
+  size_t log_lines = 0;
   std::string line;
   while (std::getline(log, line)) {
     if (line.empty()) continue;
+    ++log_lines;
     std::optional<JsonValue> parsed = ParseJson(line);
     ASSERT_TRUE(parsed.has_value()) << line;
     by_id.emplace(static_cast<uint64_t>(parsed->Find("id")->NumberOr(0)),
@@ -685,6 +701,20 @@ TEST_F(FlightServerTest, AccessLogAndFlightAgreeUnderConcurrentClients) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_TRUE(flight_clients.count("agree" + std::to_string(c)))
         << "missing client agree" << c;
+  }
+
+  // Every completed request lands on exactly one client series (the
+  // registry is process-global, so counts are deltas): the deltas sum to
+  // the access-log line count, and each identity's is what it sent.
+  std::map<std::string, double> clients_after = ClientRequestCounts();
+  double attributed = 0.0;
+  for (const auto& [client, count] : clients_after) {
+    attributed += count - clients_before[client];
+  }
+  EXPECT_EQ(attributed, static_cast<double>(log_lines));
+  for (int c = 0; c < kClients; ++c) {
+    std::string who = "agree" + std::to_string(c);
+    EXPECT_EQ(clients_after[who] - clients_before[who], kPerClient) << who;
   }
 }
 

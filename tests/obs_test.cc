@@ -582,8 +582,8 @@ TEST(ObsOverheadTest, RequestPathInstrumentationIsZeroAllocation) {
   // alcopd's per-request bookkeeping — a gauge bump at dispatch, a span
   // and histogram observations at completion — runs on the lane threads
   // between a warm cache probe and the response write. It must allocate
-  // nothing even with tracing enabled, or the hot-path p99 gate in
-  // bench/serving_load.cc is at the allocator's mercy.
+  // nothing even with tracing enabled, or the observability overhead
+  // gate in bench/obs_overhead.cc is at the allocator's mercy.
   obs::Registry& registry = obs::Registry::Global();
   obs::Histogram& latency = registry.GetHistogram(
       "obstest.request.latency.us|lane=fast", "test-only lane histogram");

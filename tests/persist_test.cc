@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -214,6 +215,18 @@ TEST_F(PersistTest, TuningStoreRoundTrips) {
   for (size_t i = 0; i < after[0].signature.size(); ++i) {
     EXPECT_TRUE(BitEqual(after[0].signature[i], before[0].signature[i]));
   }
+
+  // Warm restart, alcopd's way: the reloaded best is answered from the
+  // timing layer without a compile, bit-equal to what the search found.
+  std::optional<tuner::StoredTrial> best = after[0].Best();
+  ASSERT_TRUE(best.has_value());
+  EXPECT_TRUE(
+      BitEqual(best->cycles, result.BestInFirstK(result.trials.size())));
+  uint64_t misses_before = sim::GetSimCacheStats().misses;
+  sim::KernelTiming timing =
+      sim::CachedCompileAndSimulate(task.op, best->config, spec);
+  EXPECT_EQ(sim::GetSimCacheStats().misses, misses_before);
+  EXPECT_TRUE(BitEqual(timing.cycles, best->cycles));
 }
 
 TEST_F(PersistTest, MissingFileFailsCleanly) {

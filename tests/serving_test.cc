@@ -1,8 +1,8 @@
 // Tests of the alcopd serving stack: the wire protocol (framing + JSON
 // subset), the client, and an end-to-end daemon on a unix socket —
-// fast-lane routing, slow-lane compiles and profiles, refusal of
-// malformed integer fields, warm-started tuning and the stored-tuning
-// warm-restart path.
+// fast-lane routing, slow-lane compiles and profiles, pipelined frames
+// on one connection, refusal of malformed integer fields, warm-started
+// tuning and the stored-tuning warm-restart path.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -280,6 +280,50 @@ TEST_F(ServerTest, ConcurrentColdCompilesMatchUncachedSimulation) {
         options_.spec);
     ASSERT_TRUE(direct.feasible);
     EXPECT_EQ(cycles[static_cast<size_t>(i)], direct.cycles) << "client " << i;
+  }
+  server.Stop();
+}
+
+TEST_F(ServerTest, PipelinedHotAndColdCompilesAreEachAnsweredOnce) {
+  serving::Server server(options_);
+  ASSERT_TRUE(server.Start());
+  serving::Client client;
+  ASSERT_TRUE(client.Connect(socket_path_));
+
+  auto compile = [](int id, int64_t k) {
+    return support::JsonObject()
+        .Int("id", id)
+        .Str("method", "compile")
+        .Int("m", 512)
+        .Int("n", 512)
+        .Int("k", k)
+        .Raw("config", "{\"tb\":[128,128,32],\"warp\":[64,64,16],\"smem\":2}")
+        .Object();
+  };
+  std::optional<JsonValue> warm = client.Call(compile(0, 512));
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_TRUE(warm->Find("ok")->BoolOr(false));
+
+  // Every frame goes out before any reply is read: hot probes on the
+  // warmed shape interleaved with cold shapes, so fast-lane replies
+  // overtake slow-lane ones on the one connection. Replies are matched
+  // by id, and each id must come back exactly once.
+  constexpr int kRequests = 24;
+  for (int id = 1; id <= kRequests; ++id) {
+    ASSERT_TRUE(client.Send(compile(id, id % 4 == 0 ? 512 + 128 * id : 512)));
+  }
+  std::vector<int> answers(kRequests + 1, 0);
+  for (int i = 0; i < kRequests; ++i) {
+    std::optional<JsonValue> reply = client.Recv();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->Find("ok")->BoolOr(false));
+    int id = static_cast<int>(reply->Find("id")->NumberOr(-1));
+    ASSERT_GE(id, 1);
+    ASSERT_LE(id, kRequests);
+    ++answers[static_cast<size_t>(id)];
+  }
+  for (int id = 1; id <= kRequests; ++id) {
+    EXPECT_EQ(answers[static_cast<size_t>(id)], 1) << "id " << id;
   }
   server.Stop();
 }

@@ -544,6 +544,10 @@ TEST(StrategyTest, XgbSearchesMatchGolden) {
     EXPECT_EQ(fingerprint(warm), golden.warm)
         << golden.op << " pretrain=" << golden.pretrain << " warm 0x"
         << std::hex << fingerprint(warm);
+    // Transfer: the warm search measures its seeds, so it reaches the
+    // cold search's best.
+    EXPECT_LE(warm.BestInFirstK(32), cold.BestInFirstK(32))
+        << golden.op << " pretrain=" << golden.pretrain;
   }
 }
 
